@@ -29,7 +29,6 @@ from .distances import (
 from .embedding import (
     EmbeddedTractogram,
     PrototypeSet,
-    embed,
     embed_tractogram,
     select_prototypes_sff,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "distance",
     "distance_matrix",
     "dsc",
-    "embed",
     "embed_tractogram",
     "flip",
     "generate_subject",

@@ -139,13 +139,3 @@ class KdTree:
                 best_sq = s
                 best_id = nid
         return best_id, float(np.sqrt(best_sq)), visited
-
-
-def build(vectors: np.ndarray, ids=None) -> KdTree:
-    """Build a tree over row vectors; ids default to 0..N-1."""
-    return KdTree(vectors, ids)
-
-
-def nearest(tree: KdTree, q) -> tuple[int, float]:
-    """Module-level alias for KdTree.nearest."""
-    return tree.nearest(q)

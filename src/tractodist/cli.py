@@ -61,13 +61,11 @@ from .errors import (
 from .io import (
     read_bundle,
     read_embedding,
-    read_indices_json,
     read_tractogram,
     write_bundle,
     write_embedding,
     write_tractogram,
 )
-from .model import BundleRef
 from .segmentation import VoxelGrid, dsc, prepare_target, segment, voxelize
 from .synth import BundleSpec, generate_subject, perturb_subject
 
@@ -151,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=_nonneg_int, default=42,
                         help="seed for all randomized steps (default 42)")
     parser.add_argument("--threads", type=_positive_int, default=None,
-                        help="worker threads for batch distances (default: CPU count)")
+                        help="worker threads for batch distances (default: serial)")
     parser.add_argument("--sigma", type=_positive_float, default=42.0,
                         help="kernel bandwidth in mm for default pdm/var kinds (default 42.0)")
     parser.add_argument("--prototypes", type=_positive_int, default=40,
@@ -328,6 +326,12 @@ def cmd_segment(args) -> int:
                 f"{args.embedding} has {len(embedded)} rows for a target of "
                 f"{len(target)} streamlines"
             )
+        top = max(embedded.prototypes.indices)
+        if top >= len(target):
+            raise HeaderMismatch(
+                f"{args.embedding} names prototype {top} in a target of "
+                f"{len(target)} streamlines"
+            )
         tree = KdTree(embedded.vectors)
     else:
         embedded, tree = prepare_target(
@@ -348,8 +352,7 @@ def cmd_dsc(args) -> int:
                      voxel_size=args.voxel_size or trgx.voxel_size)
     voxels = []
     for path in (args.bundle_a, args.bundle_b):
-        _, indices = read_indices_json(path)
-        ref = BundleRef(trgx.tractogram, indices)
+        ref = read_bundle(path, trgx.tractogram)
         voxels.append(voxelize(ref, trgx.tractogram, grid))
     print(f"{dsc(voxels[0], voxels[1]):.6f}")
     return 0

@@ -108,41 +108,51 @@ def default_kinds(sigma: float = DEFAULT_SIGMA) -> list[DistanceKind]:
 # Mean-of-closest family
 # ---------------------------------------------------------------------------
 
-def mean_closest_asym(s_a: Streamline, s_b: Streamline) -> float:
-    """Average over points of s_a of the closest-point distance to s_b.
-
-    Not symmetric in general.
-    """
-    d = cdist(s_a.points, s_b.points)
-    return float(d.min(axis=1).mean())
-
-
-def _mean_closest_both(s_a: Streamline, s_b: Streamline) -> tuple[float, float]:
-    d = cdist(s_a.points, s_b.points)
+def _closest_means(pa: np.ndarray, pb: np.ndarray) -> tuple[float, float]:
+    """Both asymmetric closest-point means: over pa's points, then over pb's."""
+    d = cdist(pa, pb)
     return float(d.min(axis=1).mean()), float(d.min(axis=0).mean())
+
+
+def _mean(ab: float, ba: float) -> float:
+    return (ab + ba) / 2.0
+
+
+# How mc, sc and lc symmetrize the two closest-point means.
+_SYMMETRIZE = {"mc": _mean, "sc": min, "lc": max}
 
 
 def d_mc(s_a: Streamline, s_b: Streamline) -> float:
     """Mean of the two asymmetric closest-point averages."""
-    ab, ba = _mean_closest_both(s_a, s_b)
-    return (ab + ba) / 2.0
+    return _mean(*_closest_means(s_a.points, s_b.points))
 
 
 def d_sc(s_a: Streamline, s_b: Streamline) -> float:
     """Shorter (min) of the two asymmetric closest-point averages."""
-    ab, ba = _mean_closest_both(s_a, s_b)
-    return min(ab, ba)
+    return min(_closest_means(s_a.points, s_b.points))
 
 
 def d_lc(s_a: Streamline, s_b: Streamline) -> float:
     """Longer (max) of the two asymmetric closest-point averages."""
-    ab, ba = _mean_closest_both(s_a, s_b)
-    return max(ab, ba)
+    return max(_closest_means(s_a.points, s_b.points))
 
 
 # ---------------------------------------------------------------------------
 # Minimum average direct-flip
 # ---------------------------------------------------------------------------
+
+def _mdf_core(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """min(direct, flipped) mean pointwise distance of resampled streamlines.
+
+    a and b are (..., m, 3) arrays broadcast against each other over the
+    leading axes; the result has their broadcast leading shape.
+    """
+    d = a - b
+    direct = np.sqrt((d * d).sum(axis=-1)).mean(axis=-1)
+    f = a - b[..., ::-1, :]
+    flipped = np.sqrt((f * f).sum(axis=-1)).mean(axis=-1)
+    return np.minimum(direct, flipped)
+
 
 def d_mdf(s_a: Streamline, s_b: Streamline, m: int) -> float:
     """Min of mean pointwise distance under direct and reversed pairing.
@@ -150,17 +160,7 @@ def d_mdf(s_a: Streamline, s_b: Streamline, m: int) -> float:
     Both streamlines are resampled to m equally spaced points first, so
     the result is invariant to flipping either argument.
     """
-    pa = resample(s_a, m).points
-    pb = resample(s_b, m).points
-    return _mdf_core(pa, pb)
-
-
-def _mdf_core(pa: np.ndarray, pb: np.ndarray) -> float:
-    d = pa - pb
-    direct = np.sqrt((d * d).sum(axis=1)).mean()
-    f = pa - pb[::-1]
-    flipped = np.sqrt((f * f).sum(axis=1)).mean()
-    return float(min(direct, flipped))
+    return float(_mdf_core(resample(s_a, m).points, resample(s_b, m).points))
 
 
 def resample_stack(streamlines: Sequence[Streamline], m: int) -> np.ndarray:
@@ -181,58 +181,44 @@ def mdf_min_direct_flipped(a: np.ndarray, b: np.ndarray, chunk: int = 8192) -> n
     out = np.empty(n)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        d = a[lo:hi] - b[lo:hi]
-        direct = np.sqrt((d * d).sum(axis=2)).mean(axis=1)
-        f = a[lo:hi] - b[lo:hi, ::-1]
-        flipped = np.sqrt((f * f).sum(axis=2)).mean(axis=1)
-        out[lo:hi] = np.minimum(direct, flipped)
+        out[lo:hi] = _mdf_core(a[lo:hi], b[lo:hi])
     return out
 
 
 # ---------------------------------------------------------------------------
-# Point density model
+# Kernel distances
 # ---------------------------------------------------------------------------
+
+def _kernel_distance(aa: float, bb: float, ab: float) -> float:
+    """Norm of the difference from inner products; the squared distance is
+    clamped at zero because floating-point cancellation can push it a hair
+    negative for near-identical streamlines."""
+    return math.sqrt(max(aa + bb - 2.0 * ab, 0.0))
+
+
+def _gauss_mean(pa: np.ndarray, pb: np.ndarray, sigma: float) -> float:
+    """Mean Gaussian kernel value over all point pairs of pa and pb."""
+    sq = cdist(pa, pb, "sqeuclidean")
+    return float(np.exp(-sq / (sigma * sigma)).mean())
+
 
 def pdm_inner(s_a: Streamline, s_b: Streamline, sigma: float) -> float:
     """Mean Gaussian kernel value over all point pairs; in (0, 1]."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    sq = cdist(s_a.points, s_b.points, "sqeuclidean")
-    return float(np.exp(-sq / (sigma * sigma)).mean())
+    return _gauss_mean(s_a.points, s_b.points, sigma)
 
 
 def d_pdm(s_a: Streamline, s_b: Streamline, sigma: float) -> float:
-    """Kernel distance induced by the point-cloud Gaussian inner product.
-
-    The squared distance is clamped at zero before the square root;
-    floating-point cancellation can push it a hair negative for
-    near-identical streamlines.
-    """
+    """Kernel distance induced by the point-cloud Gaussian inner product."""
     aa = pdm_inner(s_a, s_a, sigma)
     bb = pdm_inner(s_b, s_b, sigma)
     ab = pdm_inner(s_a, s_b, sigma)
-    return math.sqrt(max(aa + bb - 2.0 * ab, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# Varifolds
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SegmentDescriptor:
-    """Center and tangent of one polyline segment (both in mm)."""
-
-    center: np.ndarray
-    tangent: np.ndarray
-
-
-def segments(s: Streamline) -> list[SegmentDescriptor]:
-    """Per-segment descriptors: center (x_i + x_{i+1})/2, tangent x_{i+1} - x_i."""
-    centers, tangents, _ = _segment_arrays(s)
-    return [SegmentDescriptor(c, t) for c, t in zip(centers, tangents)]
+    return _kernel_distance(aa, bb, ab)
 
 
 def _segment_arrays(s: Streamline) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segment centers (x_i + x_{i+1})/2, tangents x_{i+1} - x_i, tangent norms."""
     p = s.points
     tangents = p[1:] - p[:-1]
     centers = 0.5 * (p[1:] + p[:-1])
@@ -240,7 +226,10 @@ def _segment_arrays(s: Streamline) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return centers, tangents, norms
 
 
-def _var_inner_arrays(ca, ta, na, cb, tb, nb, sigma: float) -> float:
+def _var_inner(seg_a, seg_b, sigma: float) -> float:
+    """Varifold inner product of two _segment_arrays descriptors."""
+    ca, ta, na = seg_a
+    cb, tb, nb = seg_b
     sq = cdist(ca, cb, "sqeuclidean")
     dots = ta @ tb.T
     # K_n * |n_i| * |n_j| = (n_i . n_j)^2 / (|n_i| |n_j|)
@@ -254,21 +243,19 @@ def varifolds_inner(s_a: Streamline, s_b: Streamline, sigma: float) -> float:
     independent."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    ca, ta, na = _segment_arrays(s_a)
-    cb, tb, nb = _segment_arrays(s_b)
-    return _var_inner_arrays(ca, ta, na, cb, tb, nb, sigma)
+    return _var_inner(_segment_arrays(s_a), _segment_arrays(s_b), sigma)
 
 
 def d_varifolds(s_a: Streamline, s_b: Streamline, sigma: float) -> float:
-    """Kernel distance on segment varifolds; radicand clamped at zero."""
+    """Kernel distance on segment varifolds."""
     aa = varifolds_inner(s_a, s_a, sigma)
     bb = varifolds_inner(s_b, s_b, sigma)
     ab = varifolds_inner(s_a, s_b, sigma)
-    return math.sqrt(max(aa + bb - 2.0 * ab, 0.0))
+    return _kernel_distance(aa, bb, ab)
 
 
 # ---------------------------------------------------------------------------
-# Dispatch and batch helpers
+# Dispatch and the batch engine
 # ---------------------------------------------------------------------------
 
 def distance(kind: DistanceKind, s_a: Streamline, s_b: Streamline) -> float:
@@ -287,6 +274,23 @@ def distance(kind: DistanceKind, s_a: Streamline, s_b: Streamline) -> float:
     return d_varifolds(s_a, s_b, kind.param)
 
 
+def _prepare(kind: DistanceKind, streamlines: list[Streamline]):
+    """Per-streamline state for the batch engine, computed once each.
+
+    mdf: the (n, m, 3) resampled stack. mc/sc/lc: the point arrays.
+    pdm/var: (points or segment descriptors, kernel self-product) pairs.
+    """
+    tag, param = kind.tag, kind.param
+    if tag == "mdf":
+        return resample_stack(streamlines, param)
+    if tag == "pdm":
+        return [(s.points, _gauss_mean(s.points, s.points, param)) for s in streamlines]
+    if tag == "var":
+        segs = [_segment_arrays(s) for s in streamlines]
+        return [(g, _var_inner(g, g, param)) for g in segs]
+    return [s.points for s in streamlines]
+
+
 def distance_matrix(
     kind: DistanceKind,
     rows: Sequence[Streamline],
@@ -300,83 +304,38 @@ def distance_matrix(
     Per-streamline quantities (resampled points, kernel self-products,
     segment descriptors) are computed once and reused, which matches
     per-pair evaluation to within accumulation rounding. The optional
-    thread pool splits work by row blocks; output does not depend on the
+    thread pool splits work by rows; output does not depend on the
     schedule.
     """
     rows = list(rows)
     symmetric = cols is None or cols is rows
-    cols_l = rows if symmetric else list(cols)
-    fill = _row_filler(kind, rows, cols_l)
-    out = np.empty((len(rows), len(cols_l)))
+    tag, sigma = kind.tag, kind.param
+    rs = _prepare(kind, rows)
+    cs = rs if symmetric else _prepare(kind, list(cols))
+    out = np.empty((len(rs), len(cs)))
 
-    def run(i: int) -> None:
-        fill(out, i, i if symmetric else 0)
+    def fill(i: int) -> None:
+        j0 = i if symmetric else 0
+        a = rs[i]
+        if tag == "mdf":
+            out[i, j0:] = _mdf_core(a, cs[j0:])
+        elif tag in _SYMMETRIZE:
+            pick = _SYMMETRIZE[tag]
+            for j in range(j0, len(cs)):
+                out[i, j] = pick(*_closest_means(a, cs[j]))
+        else:
+            inner = _gauss_mean if tag == "pdm" else _var_inner
+            for j in range(j0, len(cs)):
+                b = cs[j]
+                out[i, j] = _kernel_distance(a[1], b[1], inner(a[0], b[0], sigma))
 
     if threads and threads > 1 and len(rows) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(len(rows))))
+            list(pool.map(fill, range(len(rows))))
     else:
         for i in range(len(rows)):
-            run(i)
+            fill(i)
     if symmetric:
         iu = np.triu_indices(len(rows), k=1)
         out[(iu[1], iu[0])] = out[iu]
     return out
-
-
-def _row_filler(kind, rows, cols):
-    """Build a closure filling out[i, j0:] for the given kind."""
-    tag = kind.tag
-
-    if tag in ("mc", "sc", "lc"):
-        pick = {"mc": lambda ab, ba: (ab + ba) / 2.0,
-                "sc": min, "lc": max}[tag]
-        rpts = [s.points for s in rows]
-        cpts = rpts if cols is rows else [s.points for s in cols]
-
-        def fill(out, i, j0):
-            for j in range(j0, len(cpts)):
-                d = cdist(rpts[i], cpts[j])
-                out[i, j] = pick(float(d.min(axis=1).mean()),
-                                 float(d.min(axis=0).mean()))
-        return fill
-
-    if tag == "mdf":
-        m = kind.param
-        ra = resample_stack(rows, m)
-        rb = ra if cols is rows else resample_stack(cols, m)
-
-        def fill(out, i, j0):
-            blk = rb[j0:]
-            d = blk - ra[i]
-            direct = np.sqrt((d * d).sum(axis=2)).mean(axis=1)
-            f = blk[:, ::-1] - ra[i]
-            flipped = np.sqrt((f * f).sum(axis=2)).mean(axis=1)
-            out[i, j0:] = np.minimum(direct, flipped)
-        return fill
-
-    sigma = kind.param
-    if tag == "pdm":
-        apts = [s.points for s in rows]
-        bpts = apts if cols is rows else [s.points for s in cols]
-        aself = [pdm_inner(s, s, sigma) for s in rows]
-        bself = aself if cols is rows else [pdm_inner(s, s, sigma) for s in cols]
-
-        def fill(out, i, j0):
-            for j in range(j0, len(bpts)):
-                sq = cdist(apts[i], bpts[j], "sqeuclidean")
-                cross = float(np.exp(-sq / (sigma * sigma)).mean())
-                out[i, j] = math.sqrt(max(aself[i] + bself[j] - 2.0 * cross, 0.0))
-        return fill
-
-    # varifolds
-    adesc = [_segment_arrays(s) for s in rows]
-    bdesc = adesc if cols is rows else [_segment_arrays(s) for s in cols]
-    aself = [_var_inner_arrays(*d, *d, sigma) for d in adesc]
-    bself = aself if cols is rows else [_var_inner_arrays(*d, *d, sigma) for d in bdesc]
-
-    def fill(out, i, j0):
-        for j in range(j0, len(bdesc)):
-            cross = _var_inner_arrays(*adesc[i], *bdesc[j], sigma)
-            out[i, j] = math.sqrt(max(aself[i] + bself[j] - 2.0 * cross, 0.0))
-    return fill

@@ -9,14 +9,13 @@ the same distance kind; mixing kinds is rejected.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import DistanceKind, distance, distance_matrix
+from .distances import DistanceKind, distance_matrix
 from .errors import KindMismatch, TooManyPrototypes
-from .model import Streamline, Tractogram
+from .model import Tractogram
 
 DEFAULT_PROTOTYPE_COUNT = 40
 DEFAULT_SUBSET_CAP = 2000
@@ -125,18 +124,6 @@ def select_prototypes_sff(
         min_to_chosen[nxt] = -np.inf
 
     return PrototypeSet(tuple(int(candidates[i]) for i in chosen), kind)
-
-
-def embed(
-    s: Streamline,
-    protos: PrototypeSet,
-    source: Tractogram,
-    kind: DistanceKind,
-) -> np.ndarray:
-    """Distance from s to every prototype streamline, as a length-d vector."""
-    if kind != protos.kind:
-        raise KindMismatch(f"embedding kind {kind} != prototype kind {protos.kind}")
-    return np.array([distance(kind, s, source[j]) for j in protos.indices])
 
 
 def embed_tractogram(

@@ -209,37 +209,20 @@ def write_bundle(ref: BundleRef, path, tractogram_filename: str = "") -> None:
 
 
 def read_bundle(path, tractogram: Tractogram) -> BundleRef:
-    """Read a bundle JSON and bind it to `tractogram` (validating indices)."""
-    name, indices = _load_indices(path, key="indices")
-    return BundleRef(tractogram, indices, name=name)
-
-
-def read_indices_json(path) -> tuple[str, tuple[int, ...]]:
-    """Read streamline indices from either a bundle or a segmentation result.
+    """Read a bundle or segmentation-result JSON bound to `tractogram`.
 
     Bundle files carry the member indices under "indices"; segmentation
-    results carry the predicted member indices under "predicted".
+    results carry the predicted member indices under "predicted", which
+    is read when "indices" is absent. Indices are validated against the
+    tractogram.
     """
-    doc = _load_json(path)
-    key = "indices" if "indices" in doc else "predicted"
-    return _extract_indices(doc, key, path)
-
-
-def _load_json(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedJson(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedJson(f"{path}: expected a JSON object")
-    return doc
-
-
-def _load_indices(path, key: str) -> tuple[str, tuple[int, ...]]:
-    return _extract_indices(_load_json(path), key, path)
-
-
-def _extract_indices(doc: dict, key: str, path) -> tuple[str, tuple[int, ...]]:
+    key = "indices" if "indices" in doc else "predicted"
     indices = doc.get(key)
     if not isinstance(indices, list) or any(
         isinstance(i, bool) or not isinstance(i, int) for i in indices
@@ -248,4 +231,4 @@ def _extract_indices(doc: dict, key: str, path) -> tuple[str, tuple[int, ...]]:
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise MalformedJson(f"{path}: 'name' must be a string")
-    return name, tuple(indices)
+    return BundleRef(tractogram, indices, name=name)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ann import KdTree
-from .distances import DistanceKind
-from .embedding import EmbeddedTractogram, embed, embed_tractogram, select_prototypes_sff
+from .distances import DistanceKind, distance_matrix
+from .embedding import EmbeddedTractogram, embed_tractogram, select_prototypes_sff
 from .errors import BothEmpty, EmptyExampleBundle, IndexOutOfRange, InvalidSpec, KindMismatch
 from .model import BundleRef, Tractogram, points_at_arc_lengths, arc_lengths
 
@@ -93,10 +93,11 @@ def segment(
 ) -> SegmentationResult:
     """Transfer the example bundle onto the target by embedded-space NN.
 
-    Each example streamline is embedded against the target's prototypes
-    and matched to its exact nearest neighbor in the target's embedding
-    via the kd-tree. The predicted bundle is the deduplicated set of
-    matches; multiplicities are kept for diagnostics.
+    All example streamlines are embedded against the target's prototypes
+    in one distance_matrix call, and each is matched to its exact nearest
+    neighbor in the target's embedding via the kd-tree. The predicted
+    bundle is the deduplicated set of matches; multiplicities are kept for
+    diagnostics.
     """
     if len(example) == 0:
         raise EmptyExampleBundle("example bundle has no streamlines")
@@ -116,10 +117,11 @@ def segment(
         )
 
     protos = target_embedded.prototypes
+    queries = distance_matrix(kind, example.streamlines(),
+                              [protos_source[j] for j in protos.indices])
     per_query = []
     multiplicity: dict[int, int] = {}
-    for e_idx in example.indices:
-        vec = embed(example.tractogram[e_idx], protos, protos_source, kind)
+    for e_idx, vec in zip(example.indices, queries):
         t_idx, dist = target_tree.nearest(vec)
         per_query.append((e_idx, t_idx, dist))
         multiplicity[t_idx] = multiplicity.get(t_idx, 0) + 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import naive_nearest
-from tractodist.ann import LEAF_SIZE, KdTree, build, nearest
+from tractodist.ann import LEAF_SIZE, KdTree
 from tractodist.errors import DimensionMismatch, EmptyInput
 
 
@@ -128,11 +128,3 @@ def test_validation_errors():
     tree = KdTree(np.zeros((3, 3)))
     with pytest.raises(DimensionMismatch):
         tree.nearest(np.zeros(2))
-
-
-def test_module_level_helpers():
-    rng = np.random.default_rng(58)
-    pts = rng.normal(size=(50, 3))
-    tree = build(pts)
-    q = rng.normal(size=3)
-    assert nearest(tree, q) == tree.nearest(q)

@@ -6,8 +6,19 @@ import pytest
 from conftest import random_streamline
 from tractodist.cli import main
 from tractodist.distances import distance, distance_matrix, parse_kind
-from tractodist.embedding import embed_tractogram, select_prototypes_sff
-from tractodist.io import read_embedding, read_tractogram, write_bundle, write_tractogram
+from tractodist.embedding import (
+    EmbeddedTractogram,
+    PrototypeSet,
+    embed_tractogram,
+    select_prototypes_sff,
+)
+from tractodist.io import (
+    read_embedding,
+    read_tractogram,
+    write_bundle,
+    write_embedding,
+    write_tractogram,
+)
 from tractodist.model import BundleRef, Tractogram
 from tractodist.segmentation import VoxelGrid, dsc, prepare_target, segment, voxelize
 
@@ -260,6 +271,21 @@ def test_segment_embedding_row_mismatch_exit_3(tmp_path):
     assert main(["segment", "--example", path, "--bundle", bundle,
                  "--target", path, "--kind", "mc",
                  "--embedding", embd, "--out", str(tmp_path / "r.json")]) == 3
+
+
+def test_segment_embedding_prototype_out_of_range_exit_3(tmp_path, capsys):
+    path, t = make_trgx(tmp_path, "a.trgx", n=12)
+    bundle = make_bundle(tmp_path, "b.json", t, [0])
+    embd = str(tmp_path / "a.embd")
+    assert main(["--prototypes", "4", "embed", path, "--kind", "mc", "--out", embd]) == 0
+    emb = read_embedding(embd)
+    protos = PrototypeSet((999, *emb.prototypes.indices[1:]), emb.kind)
+    write_embedding(EmbeddedTractogram(emb.vectors, protos, emb.kind), embd)
+    capsys.readouterr()
+    assert main(["segment", "--example", path, "--bundle", bundle,
+                 "--target", path, "--kind", "mc",
+                 "--embedding", embd, "--out", str(tmp_path / "r.json")]) == 3
+    assert "999" in capsys.readouterr().err
 
 
 def test_segment_empty_bundle_exit_4(tmp_path):

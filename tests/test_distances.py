@@ -33,12 +33,10 @@ from tractodist.distances import (
     distance_matrix,
     mdf,
     mdf_min_direct_flipped,
-    mean_closest_asym,
     parse_kind,
     pdm,
     pdm_inner,
     resample_stack,
-    segments,
     varifolds,
     varifolds_inner,
 )
@@ -91,23 +89,6 @@ def test_default_kinds_order():
 # ---------------------------------------------------------------------------
 # Mean-of-closest family
 # ---------------------------------------------------------------------------
-
-def test_mean_closest_asym_exhaustive_oracle():
-    # Closest distances from each point of a, by exhaustive min over pairs.
-    a = S([[0, 0, 0], [1, 0, 0]])
-    b = S([[3, 4, 0], [3, 4, 1]])
-    expected = naive_closest_mean(a.points, b.points)
-    assert expected == pytest.approx((5.0 + math.sqrt(4 + 16)) / 2, rel=1e-12)
-    assert mean_closest_asym(a, b) == pytest.approx(expected, rel=1e-9)
-
-
-def test_mean_closest_asym_second_fixture():
-    a = S([[0, 0, 0], [1, 0, 0]])
-    b = S([[0, 1, 0], [0, 1, 1]])
-    expected = naive_closest_mean(a.points, b.points)
-    assert expected == pytest.approx((1 + math.sqrt(2)) / 2, rel=1e-12)
-    assert mean_closest_asym(a, b) == pytest.approx(expected, rel=1e-9)
-
 
 def test_mc_hand_expansion():
     a = S([[0, 0, 0], [1, 0, 0]])
@@ -231,19 +212,6 @@ def test_pdm_self_distance_zero():
 # Varifolds
 # ---------------------------------------------------------------------------
 
-def test_segments_direct_evaluation():
-    segs = segments(S([[0, 0, 0], [1, 0, 0], [1, 1, 0]]))
-    assert len(segs) == 2
-    np.testing.assert_allclose([s.center for s in segs], [[0.5, 0, 0], [1, 0.5, 0]])
-    np.testing.assert_allclose([s.tangent for s in segs], [[1, 0, 0], [0, 1, 0]])
-
-
-def test_segment_count():
-    rng = np.random.default_rng(28)
-    s = random_streamline(rng, 17)
-    assert len(segments(s)) == 16
-
-
 def test_var_inner_parallel_segments_closed_form():
     # Two parallel unit segments at center distance h: kernel weight alone.
     sigma, h = 42.0, 5.0
@@ -307,6 +275,18 @@ def test_all_kinds_finite_nonnegative_on_random_pairs():
             assert math.isfinite(v) and v >= 0.0
 
 
+def naive_distance(kind, s_a, s_b) -> float:
+    """The conftest loop oracle for any kind; shares no code with the library."""
+    pa, pb = s_a.points, s_b.points
+    if kind.tag == "mdf":
+        return naive_mdf(pa, pb, kind.param)
+    if kind.tag == "pdm":
+        return naive_pdm(pa, pb, kind.param)
+    if kind.tag == "var":
+        return naive_var(pa, pb, kind.param)
+    return {"mc": naive_mc, "sc": naive_sc, "lc": naive_lc}[kind.tag](pa, pb)
+
+
 def test_distance_matrix_matches_per_pair_calls():
     rng = np.random.default_rng(33)
     streams = [random_streamline(rng) for _ in range(7)]
@@ -317,6 +297,8 @@ def test_distance_matrix_matches_per_pair_calls():
             for j in range(7):
                 assert m[i, j] == pytest.approx(
                     distance(kind, streams[i], streams[j]), rel=1e-9, abs=1e-9)
+                assert m[i, j] == pytest.approx(
+                    naive_distance(kind, streams[i], streams[j]), rel=1e-9, abs=1e-9)
         np.testing.assert_array_equal(m, m.T)
 
 
@@ -324,9 +306,13 @@ def test_distance_matrix_rectangular_and_threaded():
     rng = np.random.default_rng(34)
     rows = [random_streamline(rng) for _ in range(5)]
     cols = [random_streamline(rng) for _ in range(3)]
-    for kind in (MC, mdf(12), pdm(42.0), varifolds(42.0)):
+    for kind in default_kinds():
         m = distance_matrix(kind, rows, cols)
         assert m.shape == (5, 3)
+        for i in range(5):
+            for j in range(3):
+                assert m[i, j] == pytest.approx(
+                    naive_distance(kind, rows[i], cols[j]), rel=1e-9, abs=1e-9)
         m2 = distance_matrix(kind, rows, cols, threads=4)
         np.testing.assert_array_equal(m, m2)
         m3 = distance_matrix(kind, rows, threads=3)

@@ -6,7 +6,6 @@ from tractodist.distances import MC, distance, distance_matrix, mdf
 from tractodist.embedding import (
     EmbeddedTractogram,
     PrototypeSet,
-    embed,
     embed_tractogram,
     select_prototypes_sff,
 )
@@ -16,6 +15,11 @@ from tractodist.model import Tractogram, build_streamline
 
 def unit_segment_at(x):
     return build_streamline([[x - 0.5, 0, 0], [x + 0.5, 0, 0]])
+
+
+def embed_oracle(s, protos, source, kind) -> np.ndarray:
+    """Distance from s to each prototype, one per-pair distance() call each."""
+    return np.array([distance(kind, s, source[j]) for j in protos.indices])
 
 
 def reference_sff(dmat: np.ndarray, candidates, count):
@@ -92,7 +96,7 @@ def test_embed_entries_match_individual_distances():
     kind = mdf(12)
     protos = select_prototypes_sff(t, kind, 4, rng_seed=1)
     s = random_streamline(rng)
-    vec = embed(s, protos, t, kind)
+    vec = embed_tractogram(Tractogram([s]), protos, t, kind).vectors[0]
     assert vec.shape == (4,)
     for col, p_idx in enumerate(protos.indices):
         assert vec[col] == pytest.approx(distance(kind, s, streams[p_idx]), rel=1e-9)
@@ -104,7 +108,7 @@ def test_embed_zero_against_own_prototype():
     t = Tractogram(streams)
     protos = select_prototypes_sff(t, MC, 3, rng_seed=0)
     j = protos.indices[1]
-    vec = embed(streams[j], protos, t, MC)
+    vec = embed_tractogram(t, protos, t, MC).vectors[j]
     assert vec[1] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -117,7 +121,7 @@ def test_embed_tractogram_matches_rowwise_embed():
     emb = embed_tractogram(t, protos, t, kind)
     assert len(emb) == 10 and emb.dimension == 5
     for i, s in enumerate(streams):
-        np.testing.assert_allclose(emb.vectors[i], embed(s, protos, t, kind),
+        np.testing.assert_allclose(emb.vectors[i], embed_oracle(s, protos, t, kind),
                                    rtol=1e-9, atol=1e-12)
 
 

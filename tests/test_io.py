@@ -23,7 +23,6 @@ from tractodist.io import (
     TRGX_MAGIC,
     read_bundle,
     read_embedding,
-    read_indices_json,
     read_tractogram,
     write_bundle,
     write_embedding,
@@ -279,11 +278,15 @@ def test_bundle_rejects_out_of_range(tmp_path):
 
 
 def test_indices_json_accepts_both_schemas(tmp_path):
+    rng = np.random.default_rng(3)
+    t = Tractogram([random_streamline(rng) for _ in range(6)])
     path = tmp_path / "doc.json"
     path.write_text('{"name": "b", "indices": [3, 1]}')
-    assert read_indices_json(path) == ("b", (3, 1))
+    back = read_bundle(path, t)
+    assert (back.name, back.indices) == ("b", (1, 3))
     path.write_text('{"name": "r", "predicted": [5], "example": [0]}')
-    assert read_indices_json(path) == ("r", (5,))
+    back = read_bundle(path, t)
+    assert (back.name, back.indices) == ("r", (5,))
 
 
 @pytest.mark.parametrize("text", [
@@ -296,7 +299,9 @@ def test_indices_json_accepts_both_schemas(tmp_path):
     '{"name": 7, "indices": [0]}',
 ])
 def test_indices_json_rejects_malformed(tmp_path, text):
+    rng = np.random.default_rng(4)
+    t = Tractogram([random_streamline(rng) for _ in range(3)])
     path = tmp_path / "doc.json"
     path.write_text(text)
     with pytest.raises(MalformedJson):
-        read_indices_json(path)
+        read_bundle(path, t)
