@@ -33,6 +33,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .ann import KdTree
 from .bench import (
     agreement_csv,
@@ -332,6 +334,7 @@ def cmd_segment(args) -> int:
                 f"{args.embedding} names prototype {top} in a target of "
                 f"{len(target)} streamlines"
             )
+        _check_embedding_rows(args, embedded, target)
         tree = KdTree(embedded.vectors)
     else:
         embedded, tree = prepare_target(
@@ -344,6 +347,24 @@ def cmd_segment(args) -> int:
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {args.out}: {len(result.predicted)} streamlines predicted")
     return 0
+
+
+# Rows of a reused EMBD recomputed against the target. An EMBD built from
+# another tractogram of the same size passes every header check, and even
+# E[p_j, j] == 0 (a prototype is at distance 0 from itself in any tractogram).
+_CHECKED_ROWS = 4
+
+
+def _check_embedding_rows(args, embedded, target) -> None:
+    rng = np.random.default_rng(args.seed)
+    rows = np.sort(rng.choice(len(target), min(_CHECKED_ROWS, len(target)), replace=False))
+    protos = [target[j] for j in embedded.prototypes.indices]
+    fresh = distance_matrix(args.kind, [target[i] for i in rows], protos)
+    if not np.allclose(fresh, embedded.vectors[rows], rtol=1e-9, atol=1e-9):
+        raise HeaderMismatch(
+            f"{args.embedding} rows {rows.tolist()} differ from the distances "
+            f"recomputed on {args.target}: it was built from another tractogram"
+        )
 
 
 def cmd_dsc(args) -> int:

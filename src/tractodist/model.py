@@ -43,7 +43,8 @@ class Streamline:
 
     @classmethod
     def _from_valid(cls, pts: np.ndarray) -> "Streamline":
-        # Fast path for internally produced arrays (resample, flip): skips
+        # Fast path for internally produced arrays (resample, flip) and for
+        # points the TRGX reader validated and collapsed in bulk: skips
         # validation and duplicate collapse so point counts are preserved.
         s = object.__new__(cls)
         pts.flags.writeable = False

@@ -7,10 +7,19 @@ deliberately independent of the vectorized library code it checks.
 from __future__ import annotations
 
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 
-from tractodist.model import Streamline, build_streamline
+from tractodist.errors import (
+    BadMagic,
+    CountMismatch,
+    EmptyTractogram,
+    NonFiniteCoordinate,
+)
+from tractodist.io import TRGX_MAGIC, TrgxFile, _Cursor
+from tractodist.model import Streamline, Tractogram, build_streamline
 
 
 # ---------------------------------------------------------------------------
@@ -145,3 +154,39 @@ def naive_nearest(vectors: np.ndarray, query: np.ndarray) -> tuple[int, float]:
         if sq < best_sq:
             best_id, best_sq = i, sq
     return best_id, math.sqrt(best_sq)
+
+
+# ---------------------------------------------------------------------------
+# TRGX reader oracle (one streamline at a time)
+# ---------------------------------------------------------------------------
+
+def naive_read_trgx(path) -> TrgxFile:
+    """Streamline-by-streamline TRGX read: each count, each slice of points
+    and each Streamline construction in file order, so the first defect
+    met is the error raised."""
+    data = Path(path).read_bytes()
+    cur = _Cursor(data)
+    if cur.take(len(TRGX_MAGIC), "magic") != TRGX_MAGIC:
+        raise BadMagic(f"{path}: not a TRGX file")
+    header = np.frombuffer(cur.take(16, "header"), dtype="<f4")
+    if not np.all(np.isfinite(header)):
+        raise NonFiniteCoordinate(f"{path}: non-finite voxel_size/origin")
+    (n_streamlines,) = struct.unpack("<Q", cur.take(8, "streamline count"))
+    if n_streamlines == 0:
+        raise EmptyTractogram(f"{path}: declares zero streamlines")
+    streamlines = []
+    for i in range(n_streamlines):
+        (count,) = struct.unpack("<I", cur.take(4, f"point count of streamline {i}"))
+        if count < 2:
+            raise CountMismatch(f"{path}: streamline {i} declares {count} point(s), need >= 2")
+        raw = cur.take(12 * count, f"points of streamline {i}")
+        with np.errstate(invalid="ignore"):  # signaling NaNs rejected just below
+            pts = np.frombuffer(raw, dtype="<f4").reshape(count, 3).astype(np.float64)
+        streamlines.append(build_streamline(pts))
+    if cur.remaining():
+        raise CountMismatch(f"{path}: {cur.remaining()} trailing byte(s) after declared payload")
+    return TrgxFile(
+        tractogram=Tractogram(streamlines),
+        voxel_size=float(header[0]),
+        origin=(float(header[1]), float(header[2]), float(header[3])),
+    )

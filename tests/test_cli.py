@@ -273,6 +273,23 @@ def test_segment_embedding_row_mismatch_exit_3(tmp_path):
                  "--embedding", embd, "--out", str(tmp_path / "r.json")]) == 3
 
 
+def test_segment_embedding_from_other_tractogram_same_size_exit_3(tmp_path, capsys):
+    # Same kind, same row count, prototypes in range: only the recomputed
+    # rows tell the two tractograms apart.
+    path, t = make_trgx(tmp_path, "a.trgx", n=10)
+    other_path, _ = make_trgx(tmp_path, "other.trgx", n=10, seed=9)
+    bundle = make_bundle(tmp_path, "b.json", t, [0, 3])
+    embd = str(tmp_path / "other.embd")
+    assert main(["--prototypes", "4", "embed", other_path, "--kind", "mdf-20",
+                 "--out", embd]) == 0
+    capsys.readouterr()
+    assert main(["segment", "--example", path, "--bundle", bundle,
+                 "--target", path, "--kind", "mdf-20",
+                 "--embedding", embd, "--out", str(tmp_path / "r.json")]) == 3
+    assert "another tractogram" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_segment_embedding_prototype_out_of_range_exit_3(tmp_path, capsys):
     path, t = make_trgx(tmp_path, "a.trgx", n=12)
     bundle = make_bundle(tmp_path, "b.json", t, [0])

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import random_streamline
+from conftest import naive_read_trgx, random_streamline
 from tractodist.distances import MC, mdf, pdm
 from tractodist.embedding import embed_tractogram, select_prototypes_sff
 from tractodist.errors import (
@@ -16,6 +16,7 @@ from tractodist.errors import (
     IndexOutOfRange,
     MalformedJson,
     NonFiniteCoordinate,
+    TractodistError,
     TruncatedFile,
 )
 from tractodist.io import (
@@ -163,6 +164,136 @@ def test_trgx_seeded_mutation_fuzz(tmp_path):
             read_tractogram(mutated)
         except TRGX_ERRORS:
             pass
+
+
+def read_outcome(reader, path):
+    try:
+        return reader(path)
+    except TractodistError as exc:
+        return exc
+
+
+def assert_same_as_oracle(path):
+    """The bulk reader returns what the per-streamline reader returns:
+    the same header and bit-identical points, or the same error."""
+    want = read_outcome(naive_read_trgx, path)
+    got = read_outcome(read_tractogram, path)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return want
+    assert not isinstance(got, Exception), got
+    assert (got.voxel_size, got.origin) == (want.voxel_size, want.origin)
+    assert len(got.tractogram) == len(want.tractogram)
+    for a, b in zip(got.tractogram, want.tractogram):
+        assert a.points.shape == b.points.shape
+        assert a.points.tobytes() == b.points.tobytes()
+        assert not a.points.flags.writeable
+    return got
+
+
+def ragged_blobs(rng, n):
+    """Short valid streamlines; some repeat a point, some start where the
+    previous one ended."""
+    blobs, last = [], None
+    for _ in range(n):
+        start = last if last is not None and rng.random() < 0.3 else rng.integers(-3, 4, 3)
+        steps = rng.integers(-2, 3, (int(rng.integers(1, 6)), 3))
+        steps[~steps.any(axis=1), 0] = 1  # every step moves
+        pts = np.vstack([start, start + steps.cumsum(axis=0)])
+        if rng.random() < 0.3:
+            k = int(rng.integers(len(pts)))
+            pts = np.insert(pts, k, pts[k], axis=0)
+        last = pts[-1]
+        blobs.append(blob(pts))
+    return blobs
+
+
+def mutate(rng, data: bytearray) -> bytearray:
+    """One random damage: a bit flip, a cut, extra bytes, a non-finite
+    word, a small integer word or a repeated point."""
+    words = range(24, len(data) - 3, 4)  # the streamline count and what follows
+    op = rng.integers(6)
+    if op == 0:
+        data[rng.integers(len(data))] ^= 1 << rng.integers(8)
+    elif op == 1:
+        data = data[: rng.integers(len(data))]
+    elif op == 2:
+        data += bytes(rng.integers(0, 256, rng.integers(1, 9), dtype=np.uint8))
+    elif op == 3 and words:
+        w = rng.choice(words)
+        data[w:w + 4] = np.float32(rng.choice([np.nan, np.inf, -np.inf])).tobytes()
+    elif op == 4 and words:
+        w = 24 if rng.random() < 0.25 else rng.choice(words)  # often the streamline count
+        data[w:w + 4] = struct.pack("<I", int(rng.integers(0, 6)))
+    elif op == 5 and len(data) >= 56:
+        w = rng.choice(range(44, len(data) - 11, 4))
+        data[w:w + 12] = data[w - 12:w]
+    return data
+
+
+def test_trgx_bulk_reader_matches_oracle_on_mutations(tmp_path):
+    rng = np.random.default_rng(2024)
+    good = craft_trgx(ragged_blobs(rng, 40))
+    path = tmp_path / "m.trgx"
+    errors = set()
+    for _ in range(2000):
+        data = bytearray(good)
+        for _ in range(rng.integers(1, 4)):
+            data = mutate(rng, data)
+        path.write_bytes(bytes(data))
+        outcome = assert_same_as_oracle(path)
+        errors.add(type(outcome).__name__)
+    # The mutations reach every check of the read, and some files pass.
+    assert errors >= {"BadMagic", "TruncatedFile", "CountMismatch", "EmptyTractogram",
+                      "NonFiniteCoordinate", "FewerThanTwoDistinctPoints", "TrgxFile"}
+
+
+def test_trgx_bulk_reader_fixed_cases(tmp_path):
+    path = tmp_path / "a.trgx"
+    nan = float("nan")
+
+    def check(data, expected):
+        path.write_bytes(data)
+        outcome = assert_same_as_oracle(path)
+        if isinstance(expected, type):
+            assert isinstance(outcome, expected)
+        else:
+            assert [len(s) for s in outcome.tractogram] == expected
+
+    # Consecutive streamlines sharing an endpoint do not collapse.
+    check(craft_trgx([blob([[0, 0, 0], [1, 1, 1]]), blob([[1, 1, 1], [2, 2, 2]]),
+                      blob([[2, 2, 2], [0, 0, 0], [0, 0, 0]])]), [2, 2, 2])
+    # A duplicate run inside one streamline collapses to one point.
+    check(craft_trgx([blob([[0, 0, 0], [1, 1, 1], [1, 1, 1], [1, 1, 1], [2, 2, 2]])]), [3])
+
+    # More than one block, with a defect in a later block.
+    rng = np.random.default_rng(3)
+    blobs = ragged_blobs(rng, 2500)
+    path.write_bytes(craft_trgx(blobs))
+    assert len(assert_same_as_oracle(path).tractogram) == 2500
+    late_nan = list(blobs)
+    late_nan[2100] = blob([[0, 0, 0], [nan, 1, 1]])
+    check(craft_trgx(late_nan), NonFiniteCoordinate)
+    late_flat = list(blobs)
+    late_flat[1500] = blob([[5, 5, 5], [5, 5, 5], [5, 5, 5]])
+    late_flat[2100] = blob([[0, 0, 0], [nan, 1, 1]])
+    check(craft_trgx(late_flat), FewerThanTwoDistinctPoints)
+
+    # A NaN in streamline j comes before a bad count in streamline i > j,
+    # and before trailing bytes.
+    ok = blob([[0, 0, 0], [1, 1, 1]])
+    bad_point = blob([[0, 0, 0], [nan, 1, 1]])
+    check(craft_trgx([ok, bad_point, ok, struct.pack("<I", 1) + bytes(12)]),
+          NonFiniteCoordinate)
+    check(craft_trgx([ok, bad_point, ok, struct.pack("<I", 9)]), NonFiniteCoordinate)
+    check(craft_trgx([ok, bad_point, ok]) + b"\x00\x01", NonFiniteCoordinate)
+    # In one streamline, non-finite comes before too few distinct points.
+    inf = float("inf")
+    check(craft_trgx([ok, blob([[inf, 0, 0], [inf, 0, 0]])]), NonFiniteCoordinate)
+    # Without the NaN, the deferred errors are the ones raised.
+    check(craft_trgx([ok, ok, ok, struct.pack("<I", 1) + bytes(12)]), CountMismatch)
+    check(craft_trgx([ok, ok, ok, struct.pack("<I", 9)]), TruncatedFile)
+    check(craft_trgx([ok, ok, ok]) + b"\x00\x01", CountMismatch)
 
 
 # ---------------------------------------------------------------------------
