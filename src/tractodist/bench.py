@@ -34,10 +34,9 @@ from .distances import (
     d_varifolds,
     default_kinds,
     mdf_min_direct_flipped,
-    resample_stack,
 )
 from .errors import EmptyInput, NoQueries
-from .model import BundleRef, Streamline, Tractogram
+from .model import BundleRef, Streamline, Tractogram, resample_stack
 from .segmentation import VoxelGrid, dsc, prepare_target, segment, voxelize
 from .synth import (
     BundleSpec,

@@ -64,6 +64,7 @@ from .io import (
     read_bundle,
     read_embedding,
     read_tractogram,
+    write_atomic,
     write_bundle,
     write_embedding,
     write_tractogram,
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text)
+        write_atomic(out_path, text.encode())
     else:
         sys.stdout.write(text)
 
@@ -344,7 +345,7 @@ def cmd_segment(args) -> int:
     result = segment(example, embedded, tree, target, args.kind)
     doc = result.to_json_dict()
     doc["name"] = result.predicted.name
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    write_atomic(args.out, (json.dumps(doc, indent=1) + "\n").encode())
     print(f"wrote {args.out}: {len(result.predicted)} streamlines predicted")
     return 0
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .model import Streamline, resample
+from .model import Streamline, resample, resample_stack
 
 DEFAULT_SIGMA = 42.0
 DEFAULT_MDF_POINTS = (12, 20, 32)
@@ -147,10 +147,12 @@ def _mdf_core(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a and b are (..., m, 3) arrays broadcast against each other over the
     leading axes; the result has their broadcast leading shape.
     """
+    # Squared norms as the additions of a sum over the length-3 axis, in
+    # its order, without numpy's slow reduction over so short an axis.
     d = a - b
-    direct = np.sqrt((d * d).sum(axis=-1)).mean(axis=-1)
+    direct = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2).mean(axis=-1)
     f = a - b[..., ::-1, :]
-    flipped = np.sqrt((f * f).sum(axis=-1)).mean(axis=-1)
+    flipped = np.sqrt(f[..., 0] ** 2 + f[..., 1] ** 2 + f[..., 2] ** 2).mean(axis=-1)
     return np.minimum(direct, flipped)
 
 
@@ -163,15 +165,11 @@ def d_mdf(s_a: Streamline, s_b: Streamline, m: int) -> float:
     return float(_mdf_core(resample(s_a, m).points, resample(s_b, m).points))
 
 
-def resample_stack(streamlines: Sequence[Streamline], m: int) -> np.ndarray:
-    """Resample each streamline to m points and stack into an (n, m, 3) array."""
-    out = np.empty((len(streamlines), m, 3))
-    for i, s in enumerate(streamlines):
-        out[i] = resample(s, m).points
-    return out
+# Pairs per _mdf_core call in mdf_min_direct_flipped.
+_MDF_CHUNK = 8192
 
 
-def mdf_min_direct_flipped(a: np.ndarray, b: np.ndarray, chunk: int = 8192) -> np.ndarray:
+def mdf_min_direct_flipped(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batch mdf core on aligned stacks of already-resampled streamlines.
 
     a and b are (n, m, 3) arrays; returns the n distances
@@ -179,8 +177,8 @@ def mdf_min_direct_flipped(a: np.ndarray, b: np.ndarray, chunk: int = 8192) -> n
     """
     n = len(a)
     out = np.empty(n)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, _MDF_CHUNK):
+        hi = min(lo + _MDF_CHUNK, n)
         out[lo:hi] = _mdf_core(a[lo:hi], b[lo:hi])
     return out
 
@@ -303,9 +301,10 @@ def distance_matrix(
     evaluated and mirrored; all kinds here are symmetric by construction.
     Per-streamline quantities (resampled points, kernel self-products,
     segment descriptors) are computed once and reused, which matches
-    per-pair evaluation to within accumulation rounding. The optional
-    thread pool splits work by rows; output does not depend on the
-    schedule.
+    per-pair evaluation to within accumulation rounding; a rectangular mdf
+    matrix equals the per-pair d_mdf bit for bit. The optional thread pool
+    splits the looped axis (rows, or mdf columns when there are fewer);
+    output does not depend on the schedule.
     """
     rows = list(rows)
     symmetric = cols is None or cols is rows
@@ -314,7 +313,7 @@ def distance_matrix(
     cs = rs if symmetric else _prepare(kind, list(cols))
     out = np.empty((len(rs), len(cs)))
 
-    def fill(i: int) -> None:
+    def fill_row(i: int) -> None:
         j0 = i if symmetric else 0
         a = rs[i]
         if tag == "mdf":
@@ -329,12 +328,21 @@ def distance_matrix(
                 b = cs[j]
                 out[i, j] = _kernel_distance(a[1], b[1], inner(a[0], b[0], sigma))
 
-    if threads and threads > 1 and len(rows) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(rows))))
+    def fill_column(j: int) -> None:
+        out[:, j] = _mdf_core(rs, cs[j])
+
+    # A rectangular mdf matrix loops over its shorter side; the rows stay
+    # the first argument of _mdf_core, so every entry is the per-pair value.
+    if tag == "mdf" and not symmetric and len(cs) < len(rs):
+        fill, n_tasks = fill_column, len(cs)
     else:
-        for i in range(len(rows)):
-            fill(i)
+        fill, n_tasks = fill_row, len(rs)
+    if threads and threads > 1 and n_tasks > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, range(n_tasks)))
+    else:
+        for k in range(n_tasks):
+            fill(k)
     if symmetric:
         iu = np.triu_indices(len(rows), k=1)
         out[(iu[1], iu[0])] = out[iu]

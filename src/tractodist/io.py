@@ -28,6 +28,7 @@ specific errors below (never a bare struct/ValueError).
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,6 +61,24 @@ class TrgxFile:
     tractogram: Tractogram
     voxel_size: float
     origin: tuple[float, float, float]
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write data to path all at once or not at all.
+
+    The bytes go to a temporary file in the destination directory, which
+    then replaces path. If anything fails, path keeps its earlier contents
+    and the temporary file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Cursor:
@@ -106,7 +125,7 @@ def write_tractogram(
             raise NonFiniteCoordinate("coordinates overflow float32")
         chunks.append(struct.pack("<I", len(pts)))
         chunks.append(pts.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
 
 
 def read_tractogram(path) -> TrgxFile:
@@ -241,7 +260,7 @@ def write_embedding(emb: EmbeddedTractogram, path) -> None:
         struct.pack("<Q", len(emb)),
         emb.vectors.astype("<f8").tobytes(),
     ]
-    Path(path).write_bytes(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
 
 
 def read_embedding(path) -> EmbeddedTractogram:
@@ -281,7 +300,7 @@ def read_embedding(path) -> EmbeddedTractogram:
 def write_bundle(ref: BundleRef, path, tractogram_filename: str = "") -> None:
     """Write a bundle as JSON: {"tractogram", "name", "indices"}."""
     doc = {"tractogram": tractogram_filename, "name": ref.name, "indices": list(ref.indices)}
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    write_atomic(path, (json.dumps(doc, indent=1) + "\n").encode())
 
 
 def read_bundle(path, tractogram: Tractogram) -> BundleRef:

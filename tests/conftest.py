@@ -99,6 +99,36 @@ def naive_arclength_resample(pts: np.ndarray, m: int) -> np.ndarray:
     return np.asarray(out)
 
 
+def naive_points_at_arc_lengths(points: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """One polyline at a time: arc lengths, searchsorted, then interpolation.
+
+    The library's former per-streamline code; the batch path must equal it
+    bit for bit.
+    """
+    seg = np.diff(points, axis=0)
+    cum = np.empty(len(points))
+    cum[0] = 0.0
+    np.cumsum(np.sqrt((seg * seg).sum(axis=1)), out=cum[1:])
+    ts = np.clip(np.asarray(ts, dtype=np.float64), 0.0, cum[-1])
+    idx = np.searchsorted(cum, ts, side="right") - 1
+    idx = np.clip(idx, 0, len(points) - 2)
+    seg = points[idx + 1] - points[idx]
+    seglen = cum[idx + 1] - cum[idx]
+    frac = np.where(seglen > 0.0, (ts - cum[idx]) / np.where(seglen > 0.0, seglen, 1.0), 0.0)
+    return points[idx] + frac[:, None] * seg
+
+
+def naive_resample(points: np.ndarray, m: int) -> np.ndarray:
+    """m points equally spaced by arc length, endpoints pinned, one polyline
+    at a time (the library's former resample)."""
+    seg = np.diff(points, axis=0)
+    total = np.cumsum(np.sqrt((seg * seg).sum(axis=1)))[-1]
+    out = naive_points_at_arc_lengths(points, np.linspace(0.0, total, m))
+    out[0] = points[0]
+    out[-1] = points[-1]
+    return out
+
+
 def naive_mdf(pa, pb, m: int) -> float:
     ra = naive_arclength_resample(pa, m)
     rb = naive_arclength_resample(pb, m)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -426,3 +427,41 @@ def test_usage_errors_exit_2(tmp_path, capsys, argv):
 def test_missing_trgx_exit_3(tmp_path, capsys):
     assert main(["dist", str(tmp_path / "nope.trgx"), "--kind", "mc"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# atomic outputs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command, failing", [
+    ("synth", "subj.trgx"),
+    ("synth", "subj.a.json"),
+    ("embed", "out.embd"),
+    ("segment", "out.json"),
+    ("dist", "out.csv"),
+])
+def test_failed_replace_keeps_earlier_output(tmp_path, capsys, monkeypatch, command, failing):
+    path, t = make_trgx(tmp_path, "a.trgx", n=10)
+    argv = {
+        "synth": ["synth", write_spec(tmp_path), "--out", str(tmp_path / "subj")],
+        "embed": ["--prototypes", "4", "embed", path, "--kind", "mdf-12",
+                  "--out", str(tmp_path / failing)],
+        "segment": ["--prototypes", "4", "segment", "--example", path,
+                    "--bundle", make_bundle(tmp_path, "b.json", t, [1, 4]),
+                    "--target", path, "--kind", "mdf-12", "--out", str(tmp_path / failing)],
+        "dist": ["dist", path, "--kind", "mdf-12", "--out", str(tmp_path / failing)],
+    }[command]
+    dest = tmp_path / failing
+    dest.write_bytes(b"earlier output")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if os.path.basename(dst) == failing:
+            raise OSError("simulated failure to replace the output")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(argv) == 3
+    assert "simulated failure" in capsys.readouterr().err
+    assert dest.read_bytes() == b"earlier output"
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []

@@ -36,11 +36,10 @@ from tractodist.distances import (
     parse_kind,
     pdm,
     pdm_inner,
-    resample_stack,
     varifolds,
     varifolds_inner,
 )
-from tractodist.model import build_streamline, flip
+from tractodist.model import build_streamline, flip, resample_stack
 
 S = build_streamline
 
@@ -317,6 +316,18 @@ def test_distance_matrix_rectangular_and_threaded():
         np.testing.assert_array_equal(m, m2)
         m3 = distance_matrix(kind, rows, threads=3)
         np.testing.assert_array_equal(m3, distance_matrix(kind, rows))
+
+
+@pytest.mark.parametrize("threads", [None, 2])
+@pytest.mark.parametrize("n_rows, n_cols", [(6, 40), (40, 6)])
+def test_mdf_rectangular_matrix_is_bit_identical_to_per_pair(n_rows, n_cols, threads):
+    rng = np.random.default_rng(36)
+    rows = [random_streamline(rng) for _ in range(n_rows)]
+    cols = [random_streamline(rng) for _ in range(n_cols)]
+    for m in (3, 12, 20):
+        got = distance_matrix(mdf(m), rows, cols, threads=threads)
+        expected = np.array([[d_mdf(a, b, m) for b in cols] for a in rows])
+        assert np.array_equal(got, expected)
 
 
 def test_rigid_motion_invariance_all_kinds():

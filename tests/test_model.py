@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import naive_arclength_resample, random_streamline
+from conftest import (
+    naive_arclength_resample,
+    naive_points_at_arc_lengths,
+    naive_resample,
+    random_streamline,
+)
 from tractodist.errors import (
     FewerThanTwoDistinctPoints,
     InvalidResampleCount,
@@ -14,9 +19,12 @@ from tractodist.model import (
     Tractogram,
     build_streamline,
     flip,
+    points_at_arc_lengths,
     resample,
+    resample_stack,
     streamline_length,
 )
+from tractodist.io import read_tractogram, write_tractogram
 
 
 def test_construction_copies_and_freezes():
@@ -107,6 +115,65 @@ def test_resample_rejects_bad_counts():
     for m in (1, 0, -3):
         with pytest.raises(InvalidResampleCount):
             resample(s, m)
+
+
+def _mixed_pool(rng) -> list:
+    """601 streamlines (ten resampling blocks) of 2 to 300 points, shuffled so
+    that short and long ones share blocks, plus two fixed polylines."""
+    pool = [random_streamline(rng, int(n)) for n in rng.integers(2, 40, 560)]
+    pool += [random_streamline(rng, 2) for _ in range(30)]
+    pool += [random_streamline(rng, int(n)) for n in rng.integers(150, 300, 9)]
+    pool.append(build_streamline([[0, 0, 0], [2, 0, 0], [0, 0, 0]]))
+    # Interpolating to the end gives -36.6 + (34.7 - -36.6) != 34.7, so
+    # only pinning keeps the last point exact.
+    pool.append(build_streamline([[0, 0, 0], [-36.6, 0, 0], [34.7, 0, 0]]))
+    rng.shuffle(pool)
+    return pool
+
+
+@pytest.mark.parametrize("m", [2, 3, 12, 20, 32])
+def test_resample_stack_is_bit_identical_to_per_streamline(m):
+    pool = _mixed_pool(np.random.default_rng(40 + m))
+    got = resample_stack(pool, m)
+    assert got.shape == (len(pool), m, 3)
+    expected = np.stack([naive_resample(s.points, m) for s in pool])
+    assert np.array_equal(got, expected)
+    for s in pool[:20]:
+        assert np.array_equal(resample(s, m).points, naive_resample(s.points, m))
+
+
+def test_resample_stack_reversal_puts_two_samples_on_one_spot():
+    s = build_streamline([[0, 0, 0], [2, 0, 0], [0, 0, 0]])
+    got = resample_stack([s], 5)[0]
+    assert np.array_equal(got, naive_resample(s.points, 5))
+    assert np.array_equal(got[1], got[3])
+
+
+def test_resample_stack_on_trgx_points_is_bit_identical(tmp_path):
+    pool = _mixed_pool(np.random.default_rng(41))
+    write_tractogram(Tractogram(pool), tmp_path / "t.trgx")
+    quantized = list(read_tractogram(tmp_path / "t.trgx").tractogram)
+    for m in (12, 20, 32):
+        expected = np.stack([naive_resample(s.points, m) for s in quantized])
+        assert np.array_equal(resample_stack(quantized, m), expected)
+
+
+def test_resample_stack_empty_and_bad_counts():
+    assert resample_stack([], 20).shape == (0, 20, 3)
+    s = build_streamline([[0, 0, 0], [1, 0, 0]])
+    for m in (1, 0, 2.5):
+        with pytest.raises(InvalidResampleCount):
+            resample_stack([s], m)
+
+
+def test_points_at_arc_lengths_is_bit_identical_to_per_streamline():
+    rng = np.random.default_rng(42)
+    for s in _mixed_pool(rng)[:200]:
+        total = streamline_length(s)
+        # voxelize's positions, plus some outside [0, total] to be clipped
+        ts = np.append(np.arange(0.0, total, 0.625), [total, -1.0, total + 1.0])
+        assert np.array_equal(points_at_arc_lengths(s.points, ts),
+                              naive_points_at_arc_lengths(s.points, ts))
 
 
 def test_flip_reverses_and_roundtrips():
