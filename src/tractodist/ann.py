@@ -1,99 +1,76 @@
-"""Exact 1-nearest-neighbor search over embedded vectors with a k-d tree.
+"""Exact 1-nearest-neighbor search over embedded vectors.
 
-The tree is the acceleration structure of the segmentation pipeline: any
+The search is the last step of the segmentation pipeline: any
 approximation in that pipeline comes from the dissimilarity embedding,
 never from here. Queries return the exact Euclidean nearest neighbor
-among the stored vectors, ties broken toward the lowest stored id.
+among the stored vectors, ties broken toward the lowest stored id, so
+every answer equals a linear scan bit for bit.
 
-Build splits on the axis of greatest spread at the median position and
-stops at leaves of at most 16 points. The tree is immutable after build;
-concurrent readers are safe.
+scipy's compiled ``cKDTree`` (median splits on the axis of greatest
+spread, leaves of at most 16 vectors) proposes each query's nearest
+distance d. Its arithmetic may round d differently from a numpy scan, so
+the proposal alone could pick the wrong one of two near-equal vectors,
+or a tie's higher id. A ball query of radius d * (1 + 1e-9) therefore
+collects every stored vector whose distance could round to d or below;
+the slack is many orders of magnitude above float64 rounding, and a
+radius of 0 still includes a vector at distance 0. Those candidates are
+re-scored with the scan's numpy arithmetic, ``((v - q) * (v - q)).sum``,
+and the lowest id among the exact minima wins.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DimensionMismatch, EmptyInput
 
 LEAF_SIZE = 16
 
-
-class _Leaf:
-    __slots__ = ("ids", "pts")
-
-    def __init__(self, ids: np.ndarray, pts: np.ndarray):
-        order = np.argsort(ids, kind="stable")
-        self.ids = ids[order]
-        self.pts = pts[order]
-
-
-class _Split:
-    __slots__ = ("axis", "value", "left", "right")
-
-    def __init__(self, axis: int, value: float, left, right):
-        self.axis = axis
-        self.value = value
-        self.left = left
-        self.right = right
+# Relative slack of the ball query that collects re-score candidates.
+_BALL_SLACK = 1e-9
 
 
 class KdTree:
-    """Immutable k-d tree over N vectors of dimension d with integer ids."""
+    """Immutable exact-NN index over N vectors of dimension d, ids 0..N-1.
 
-    __slots__ = ("_root", "_dim", "_size", "_node_count", "_depth")
+    The tree keeps a reference to the vectors; they must not be modified
+    after the build.
+    """
 
-    def __init__(self, vectors: np.ndarray, ids=None):
+    __slots__ = ("_tree", "_depth")
+
+    def __init__(self, vectors: np.ndarray):
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise DimensionMismatch(f"expected an (N, d) matrix, got shape {vectors.shape}")
-        n, d = vectors.shape
-        if n == 0:
+        if len(vectors) == 0:
             raise EmptyInput("cannot build a kd-tree over zero vectors")
-        if ids is None:
-            ids = np.arange(n)
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.shape != (n,):
-                raise DimensionMismatch(f"need {n} ids, got shape {ids.shape}")
-        self._dim = d
-        self._size = n
-        self._node_count = 0
-        self._depth = 0
-        self._root = self._build(vectors, ids, 1)
-
-    def _build(self, pts: np.ndarray, ids: np.ndarray, level: int):
-        self._node_count += 1
-        self._depth = max(self._depth, level)
-        n = len(pts)
-        if n <= LEAF_SIZE:
-            return _Leaf(ids, pts)
-        spread = pts.max(axis=0) - pts.min(axis=0)
-        axis = int(np.argmax(spread))
-        order = np.argsort(pts[:, axis], kind="stable")
-        mid = n // 2
-        value = float(pts[order[mid], axis])
-        lo, hi = order[:mid], order[mid:]
-        return _Split(
-            axis,
-            value,
-            self._build(pts[lo], ids[lo], level + 1),
-            self._build(pts[hi], ids[hi], level + 1),
-        )
+        self._tree = cKDTree(vectors, leafsize=LEAF_SIZE)
+        self._depth = None
 
     @property
     def dimension(self) -> int:
-        return self._dim
+        return self._tree.m
 
     def __len__(self) -> int:
-        return self._size
+        return self._tree.n
 
     @property
     def node_count(self) -> int:
-        return self._node_count
+        return self._tree.size
 
     @property
     def depth(self) -> int:
+        """Levels from the root to the deepest leaf, the root being level 1."""
+        if self._depth is None:
+            depth, stack = 0, [self._tree.tree]
+            while stack:
+                node = stack.pop()
+                depth = max(depth, node.level + 1)
+                if node.split_dim != -1:
+                    stack += (node.lesser, node.greater)
+            self._depth = depth
         return self._depth
 
     def nearest(self, q) -> tuple[int, float]:
@@ -102,40 +79,33 @@ class KdTree:
         return nid, dist
 
     def nearest_with_stats(self, q) -> tuple[int, float, int]:
-        """Like nearest(), also reporting the number of nodes visited."""
-        q = np.asarray(q, dtype=np.float64)
-        if q.shape != (self._dim,):
+        """Like nearest(), also reporting the number of re-scored vectors."""
+        ids, dists, rescored = self.nearest_many(np.asarray(q)[None])
+        return int(ids[0]), float(dists[0]), int(rescored[0])
+
+    def nearest_many(self, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact nearest neighbor of each row of an (M, d) query matrix.
+
+        Returns the stored ids, the Euclidean distances and the number of
+        vectors re-scored for each query, as arrays of length M.
+        """
+        queries = np.ascontiguousarray(queries, dtype=np.float64)
+        if queries.ndim != 2 or queries.shape[1] != self.dimension:
             raise DimensionMismatch(
-                f"query of shape {q.shape} against a {self._dim}-dimensional tree"
+                f"queries of shape {queries.shape} against a "
+                f"{self.dimension}-dimensional tree"
             )
-        best_id = -1
-        best_sq = np.inf
-        visited = 0
-        # Explicit stack of (node, squared distance to its half-space).
-        stack = [(self._root, 0.0)]
-        while stack:
-            node, bound_sq = stack.pop()
-            # <= keeps equal-distance candidates reachable for the id tiebreak.
-            if not bound_sq <= best_sq:
-                continue
-            while isinstance(node, _Split):
-                visited += 1
-                delta = q[node.axis] - node.value
-                if delta < 0.0:
-                    near, far = node.left, node.right
-                else:
-                    near, far = node.right, node.left
-                far_bound = max(bound_sq, delta * delta)
-                if far_bound <= best_sq:
-                    stack.append((far, far_bound))
-                node = near
-            visited += 1
-            diff = node.pts - q
-            sq = (diff * diff).sum(axis=1)
-            j = int(np.argmin(sq))
-            s = float(sq[j])
-            nid = int(node.ids[j])
-            if s < best_sq or (s == best_sq and nid < best_id):
-                best_sq = s
-                best_id = nid
-        return best_id, float(np.sqrt(best_sq)), visited
+        if len(queries) == 0:
+            return np.empty(0, np.intp), np.empty(0), np.empty(0, np.intp)
+        proposed, _ = self._tree.query(queries, k=1)
+        # Each ball holds at least the proposed vector, so no group is empty.
+        balls = self._tree.query_ball_point(queries, proposed * (1.0 + _BALL_SLACK))
+        counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+        starts = np.cumsum(counts) - counts
+        cand = np.concatenate(balls)
+        diff = self._tree.data[cand] - np.repeat(queries, counts, axis=0)
+        sq = (diff * diff).sum(axis=1)
+        best_sq = np.minimum.reduceat(sq, starts)
+        at_min = sq == np.repeat(best_sq, counts)
+        ids = np.minimum.reduceat(np.where(at_min, cand, len(self)), starts)
+        return ids, np.sqrt(best_sq), counts

@@ -31,9 +31,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from .ann import KdTree
 from .bench import (
@@ -62,7 +59,8 @@ from .errors import (
 )
 from .io import (
     read_bundle,
-    read_embedding,
+    read_embedding_for,
+    read_json,
     read_tractogram,
     write_atomic,
     write_bundle,
@@ -240,10 +238,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _read_spec_file(path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedJson(f"{path}: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("bundles"), dict):
         raise InvalidSpec(f"{path}: expected an object with a 'bundles' mapping")
     return doc
@@ -319,23 +314,7 @@ def cmd_segment(args) -> int:
     example = read_bundle(args.bundle, example_t)
     target = read_tractogram(args.target).tractogram
     if args.embedding:
-        embedded = read_embedding(args.embedding)
-        if embedded.kind != args.kind:
-            raise HeaderMismatch(
-                f"{args.embedding} holds kind {embedded.kind}, requested {args.kind}"
-            )
-        if len(embedded) != len(target):
-            raise HeaderMismatch(
-                f"{args.embedding} has {len(embedded)} rows for a target of "
-                f"{len(target)} streamlines"
-            )
-        top = max(embedded.prototypes.indices)
-        if top >= len(target):
-            raise HeaderMismatch(
-                f"{args.embedding} names prototype {top} in a target of "
-                f"{len(target)} streamlines"
-            )
-        _check_embedding_rows(args, embedded, target)
+        embedded = read_embedding_for(args.embedding, target, args.kind, args.seed)
         tree = KdTree(embedded.vectors)
     else:
         embedded, tree = prepare_target(
@@ -348,24 +327,6 @@ def cmd_segment(args) -> int:
     write_atomic(args.out, (json.dumps(doc, indent=1) + "\n").encode())
     print(f"wrote {args.out}: {len(result.predicted)} streamlines predicted")
     return 0
-
-
-# Rows of a reused EMBD recomputed against the target. An EMBD built from
-# another tractogram of the same size passes every header check, and even
-# E[p_j, j] == 0 (a prototype is at distance 0 from itself in any tractogram).
-_CHECKED_ROWS = 4
-
-
-def _check_embedding_rows(args, embedded, target) -> None:
-    rng = np.random.default_rng(args.seed)
-    rows = np.sort(rng.choice(len(target), min(_CHECKED_ROWS, len(target)), replace=False))
-    protos = [target[j] for j in embedded.prototypes.indices]
-    fresh = distance_matrix(args.kind, [target[i] for i in rows], protos)
-    if not np.allclose(fresh, embedded.vectors[rows], rtol=1e-9, atol=1e-9):
-        raise HeaderMismatch(
-            f"{args.embedding} rows {rows.tolist()} differ from the distances "
-            f"recomputed on {args.target}: it was built from another tractogram"
-        )
 
 
 def cmd_dsc(args) -> int:

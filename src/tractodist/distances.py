@@ -344,6 +344,8 @@ def distance_matrix(
         for k in range(n_tasks):
             fill(k)
     if symmetric:
-        iu = np.triu_indices(len(rows), k=1)
-        out[(iu[1], iu[0])] = out[iu]
+        # One row at a time: index arrays over the whole triangle would
+        # allocate more than the matrix itself.
+        for i in range(len(rows) - 1):
+            out[i + 1:, i] = out[i, i + 1:]
     return out

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distances import DistanceKind, parse_kind
+from .distances import DistanceKind, distance_matrix, parse_kind
 from .embedding import EmbeddedTractogram, PrototypeSet
 from .errors import (
     BadMagic,
@@ -293,9 +293,55 @@ def read_embedding(path) -> EmbeddedTractogram:
     return EmbeddedTractogram(vectors.astype(np.float64), protos, kind)
 
 
+# Rows of a reused EMBD recomputed against the target. An EMBD built from
+# another tractogram of the same size passes every header check, and even
+# E[p_j, j] == 0 (a prototype is at distance 0 from itself in any tractogram).
+_CHECKED_ROWS = 4
+
+
+def read_embedding_for(path, target: Tractogram, kind: DistanceKind,
+                       seed: int) -> EmbeddedTractogram:
+    """Read an EMBD file and check that it was built from `target` with `kind`.
+
+    The kind, the row count and the prototype indices must match the
+    target, and rows drawn with `seed` must equal the distances recomputed
+    on the target (rel/abs 1e-9). Any mismatch raises HeaderMismatch.
+    """
+    embedded = read_embedding(path)
+    if embedded.kind != kind:
+        raise HeaderMismatch(f"{path} holds kind {embedded.kind}, requested {kind}")
+    if len(embedded) != len(target):
+        raise HeaderMismatch(
+            f"{path} has {len(embedded)} rows for a target of {len(target)} streamlines"
+        )
+    top = max(embedded.prototypes.indices)
+    if top >= len(target):
+        raise HeaderMismatch(
+            f"{path} names prototype {top} in a target of {len(target)} streamlines"
+        )
+    rng = np.random.default_rng(seed)
+    rows = np.sort(rng.choice(len(target), min(_CHECKED_ROWS, len(target)), replace=False))
+    protos = [target[j] for j in embedded.prototypes.indices]
+    fresh = distance_matrix(kind, [target[i] for i in rows], protos)
+    if not np.allclose(fresh, embedded.vectors[rows], rtol=1e-9, atol=1e-9):
+        raise HeaderMismatch(
+            f"{path} rows {rows.tolist()} differ from the distances recomputed "
+            f"on the target: it was built from another tractogram"
+        )
+    return embedded
+
+
 # ---------------------------------------------------------------------------
 # Bundle / result JSON
 # ---------------------------------------------------------------------------
+
+def read_json(path):
+    """Parse a JSON file; undecodable or too deeply nested text raises MalformedJson."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise MalformedJson(f"{path}: {exc}") from exc
+
 
 def write_bundle(ref: BundleRef, path, tractogram_filename: str = "") -> None:
     """Write a bundle as JSON: {"tractogram", "name", "indices"}."""
@@ -311,10 +357,7 @@ def read_bundle(path, tractogram: Tractogram) -> BundleRef:
     is read when "indices" is absent. Indices are validated against the
     tractogram.
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedJson(f"{path}: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise MalformedJson(f"{path}: expected a JSON object")
     key = "indices" if "indices" in doc else "predicted"

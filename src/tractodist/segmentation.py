@@ -94,8 +94,8 @@ def segment(
     """Transfer the example bundle onto the target by embedded-space NN.
 
     All example streamlines are embedded against the target's prototypes
-    in one distance_matrix call, and each is matched to its exact nearest
-    neighbor in the target's embedding via the kd-tree. The predicted
+    in one distance_matrix call, and all are matched to their exact nearest
+    neighbors in the target's embedding by one kd-tree query. The predicted
     bundle is the deduplicated set of matches; multiplicities are kept for
     diagnostics.
     """
@@ -119,11 +119,11 @@ def segment(
     protos = target_embedded.prototypes
     queries = distance_matrix(kind, example.streamlines(),
                               [protos_source[j] for j in protos.indices])
-    per_query = []
+    ids, dists, _ = target_tree.nearest_many(queries)
+    picks = ids.tolist()
+    per_query = tuple(zip(example.indices, picks, dists.tolist()))
     multiplicity: dict[int, int] = {}
-    for e_idx, vec in zip(example.indices, queries):
-        t_idx, dist = target_tree.nearest(vec)
-        per_query.append((e_idx, t_idx, dist))
+    for t_idx in picks:
         multiplicity[t_idx] = multiplicity.get(t_idx, 0) + 1
 
     # Embedding rows index the target tractogram; in this pipeline the
@@ -132,7 +132,7 @@ def segment(
     return SegmentationResult(
         predicted=predicted,
         multiplicity=multiplicity,
-        per_query=tuple(per_query),
+        per_query=per_query,
         kind=kind,
         prototype_count=len(protos),
         example_indices=example.indices,

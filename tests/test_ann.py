@@ -128,3 +128,65 @@ def test_validation_errors():
     tree = KdTree(np.zeros((3, 3)))
     with pytest.raises(DimensionMismatch):
         tree.nearest(np.zeros(2))
+
+
+def assert_many_matches_scan(tree, pts, queries):
+    ids, dists, rescored = tree.nearest_many(queries)
+    assert ids.shape == dists.shape == rescored.shape == (len(queries),)
+    for q, nid, dist, n in zip(queries, ids, dists, rescored):
+        assert (int(nid), float(dist)) == naive_nearest(pts, q)
+        assert n >= 1
+
+
+def test_nearest_many_random_queries_match_linear_scan():
+    rng = np.random.default_rng(58)
+    pts = rng.normal(size=(500, 12))
+    tree = KdTree(pts)
+    assert_many_matches_scan(tree, pts, rng.normal(size=(200, 12)))
+
+
+def test_nearest_many_grid_ties_match_scan():
+    rng = np.random.default_rng(56)
+    pts = rng.integers(0, 4, size=(300, 4)).astype(float)
+    tree = KdTree(pts)
+    assert_many_matches_scan(tree, pts, rng.integers(0, 4, size=(100, 4)).astype(float))
+
+
+def test_nearest_many_identical_vectors():
+    # Zero spread: the tree cannot split, every vector ties.
+    pts = np.full((1000, 5), 0.25)
+    tree = KdTree(pts)
+    ids, dists, rescored = tree.nearest_many(np.full((3, 5), 0.25))
+    assert ids.tolist() == [0, 0, 0]
+    assert dists.tolist() == [0.0, 0.0, 0.0]
+    assert rescored.tolist() == [1000, 1000, 1000]
+    ids, dists, _ = tree.nearest_many(np.full((1, 5), 1.25))
+    assert (int(ids[0]), float(dists[0])) == naive_nearest(pts, np.full(5, 1.25))
+
+
+def test_nearest_many_query_at_distance_zero():
+    rng = np.random.default_rng(59)
+    pts = rng.normal(size=(400, 6))
+    tree = KdTree(pts)
+    ids, dists, rescored = tree.nearest_many(pts[[7, 123, 399]])
+    assert ids.tolist() == [7, 123, 399]
+    assert dists.tolist() == [0.0, 0.0, 0.0]
+    assert rescored.tolist() == [1, 1, 1]
+
+
+def test_nearest_many_one_row_equals_nearest_with_stats():
+    rng = np.random.default_rng(60)
+    pts = rng.normal(size=(300, 8))
+    tree = KdTree(pts)
+    q = rng.normal(size=8)
+    ids, dists, rescored = tree.nearest_many(q[None])
+    assert (int(ids[0]), float(dists[0]), int(rescored[0])) == tree.nearest_with_stats(q)
+    assert (int(ids[0]), float(dists[0])) == naive_nearest(pts, q)
+    assert [len(a) for a in tree.nearest_many(np.empty((0, 8)))] == [0, 0, 0]
+
+
+def test_nearest_many_dimension_errors():
+    tree = KdTree(np.zeros((3, 3)))
+    for bad in (np.zeros(3), np.zeros((2, 2)), np.zeros((2, 4)), np.zeros((1, 3, 1))):
+        with pytest.raises(DimensionMismatch):
+            tree.nearest_many(bad)

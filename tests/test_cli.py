@@ -429,6 +429,25 @@ def test_missing_trgx_exit_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["dsc", "segment", "synth"])
+def test_deeply_nested_json_exit_3(tmp_path, capsys, command):
+    # Nesting deeper than the interpreter's recursion limit.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    path, t = make_trgx(tmp_path, "a.trgx", n=6)
+    bundle = make_bundle(tmp_path, "b.json", t, [0, 1])
+    argv = {
+        "dsc": ["dsc", str(deep), bundle, "--tractogram", path],
+        "segment": ["--prototypes", "3", "segment", "--example", path,
+                    "--bundle", str(deep), "--target", path, "--kind", "mc",
+                    "--out", str(tmp_path / "r.json")],
+        "synth": ["synth", str(deep), "--out", str(tmp_path / "subj")],
+    }[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # atomic outputs
 # ---------------------------------------------------------------------------

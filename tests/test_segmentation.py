@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_streamline
+from conftest import naive_nearest, random_streamline
 from tractodist.ann import KdTree
 from tractodist.bench import default_benchmark_subjects
-from tractodist.distances import MC, distance, mdf
+from tractodist.distances import MC, distance, distance_matrix, mdf
 from tractodist.errors import BothEmpty, EmptyExampleBundle, InvalidSpec, KindMismatch
 from tractodist.model import BundleRef, Tractogram, build_streamline
 from tractodist.synth import random_smooth_curve
@@ -101,6 +101,27 @@ def test_far_noise_does_not_change_prediction():
         embedded, tree = prepare_target(t, kind, prototype_count=20, rng_seed=0)
         picks[label] = set(segment(example, embedded, tree, t, kind).predicted.indices)
     assert picks["clean"] == picks["noisy"]
+
+
+@pytest.mark.parametrize("kind", [MC, mdf(12)])
+def test_segment_per_query_matches_linear_scan(kind):
+    # The target repeats its first 10 streamlines, so their embedding rows
+    # tie exactly and must resolve to the lower index.
+    base = small_subject(seed=3, n=40)
+    target = Tractogram(list(base) + list(base)[:10])
+    other = small_subject(seed=4, n=20)
+    embedded, tree = prepare_target(target, kind, prototype_count=6, rng_seed=0)
+    protos = [target[j] for j in embedded.prototypes.indices]
+    picks = []
+    for example in (BundleRef(target, [2, 7, 19, 41, 45, 49]),
+                    BundleRef(other, range(20))):
+        result = segment(example, embedded, tree, target, kind)
+        queries = distance_matrix(kind, example.streamlines(), protos)
+        want = [(e, *naive_nearest(embedded.vectors, q))
+                for e, q in zip(example.indices, queries)]
+        assert list(result.per_query) == want
+        picks.append([t_idx for _, t_idx, _ in result.per_query])
+    assert picks[0] == [2, 7, 19, 1, 5, 9]
 
 
 def test_segment_rejects_empty_example():
