@@ -258,12 +258,14 @@ def cmd_synth(args) -> int:
                 points_range=tuple(b.get("points_range", (30, 60))),
                 rng_seed=int(b.get("rng_seed", 0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidSpec(f"bundle {name!r}: {exc}") from exc
-    subject = generate_subject(
-        specs, int(doc.get("noise_streamlines", 0)), global_seed=args.seed
-    )
-    displacement = float(doc.get("displacement_sigma", 0.0))
+    try:
+        noise = int(doc.get("noise_streamlines", 0))
+        displacement = float(doc.get("displacement_sigma", 0.0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSpec(f"{args.spec}: {exc}") from exc
+    subject = generate_subject(specs, noise, global_seed=args.seed)
     if displacement > 0:
         subject = perturb_subject(subject, displacement, seed=args.seed)
 

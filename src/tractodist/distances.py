@@ -118,8 +118,8 @@ def _mean(ab: float, ba: float) -> float:
     return (ab + ba) / 2.0
 
 
-# How mc, sc and lc symmetrize the two closest-point means.
-_SYMMETRIZE = {"mc": _mean, "sc": min, "lc": max}
+# How the batch engine symmetrizes mc, sc and lc, on arrays of both means.
+_SYMMETRIZE = {"mc": _mean, "sc": np.minimum, "lc": np.maximum}
 
 
 def d_mc(s_a: Streamline, s_b: Streamline) -> float:
@@ -135,6 +135,55 @@ def d_sc(s_a: Streamline, s_b: Streamline) -> float:
 def d_lc(s_a: Streamline, s_b: Streamline) -> float:
     """Longer (max) of the two asymmetric closest-point averages."""
     return max(_closest_means(s_a.points, s_b.points))
+
+
+# Point pairs per closest-point run. A row meets its columns in runs of
+# whole streamlines with at most this many squared distances to the row's
+# points (a longer streamline is a run by itself), one cdist call per run
+# into one reused 256 KB buffer.
+_CLOSEST_RUN = 32768
+
+
+def _flat_points(streamlines: list[Streamline]):
+    """All points in one (P, 3) array, plus each streamline's offset and
+    point count (the ArraySequence layout)."""
+    lens = np.array([len(s.points) for s in streamlines], dtype=np.int64)
+    offsets = np.zeros(len(lens), dtype=np.int64)
+    np.cumsum(lens[:-1], out=offsets[1:])
+    if not streamlines:
+        return np.empty((0, 3)), offsets, lens
+    return np.concatenate([s.points for s in streamlines]), offsets, lens
+
+
+def _closest_row(pick, pa: np.ndarray, flat, offsets, lens, j0: int) -> np.ndarray:
+    """pick(ab, ba) of points pa against flat streamlines j0, j0+1, ...
+
+    Per run: the squared distances from every point of pa to every column
+    point, then minima per column segment in one direction and per column
+    point in the other. sqrt is monotone, so taking it after the minimum
+    gives the per-pair values. ab sums each column's minima as one
+    contiguous row, in _closest_means's order whatever the run's width; ba
+    sums each segment left to right. So an entry does not depend on the
+    run it falls in.
+    """
+    n = len(pa)
+    ends = offsets + lens
+    run_points = _CLOSEST_RUN // n
+    buf = np.empty(n * run_points)
+    out = np.empty(len(offsets) - j0)
+    lo = j0
+    while lo < len(offsets):
+        p0 = offsets[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, p0 + run_points, side="right")))
+        size = n * (ends[hi - 1] - p0)
+        sq = cdist(pa, flat[p0:ends[hi - 1]], "sqeuclidean",
+                   out=buf[:size].reshape(n, -1) if size <= len(buf) else None)
+        starts = offsets[lo:hi] - p0
+        ab = np.sqrt(np.minimum.reduceat(sq, starts, axis=1).T.copy()).sum(axis=1) / n
+        ba = np.add.reduceat(np.sqrt(sq.min(axis=0)), starts) / lens[lo:hi]
+        out[lo - j0:hi - j0] = pick(ab, ba)
+        lo = hi
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +324,9 @@ def distance(kind: DistanceKind, s_a: Streamline, s_b: Streamline) -> float:
 def _prepare(kind: DistanceKind, streamlines: list[Streamline]):
     """Per-streamline state for the batch engine, computed once each.
 
-    mdf: the (n, m, 3) resampled stack. mc/sc/lc: the point arrays.
-    pdm/var: (points or segment descriptors, kernel self-product) pairs.
+    mdf: the (n, m, 3) resampled stack. mc/sc/lc: the _flat_points
+    layout. pdm/var: (points or segment descriptors, kernel self-product)
+    pairs.
     """
     tag, param = kind.tag, kind.param
     if tag == "mdf":
@@ -286,7 +336,7 @@ def _prepare(kind: DistanceKind, streamlines: list[Streamline]):
     if tag == "var":
         segs = [_segment_arrays(s) for s in streamlines]
         return [(g, _var_inner(g, g, param)) for g in segs]
-    return [s.points for s in streamlines]
+    return _flat_points(streamlines)
 
 
 def distance_matrix(
@@ -302,29 +352,32 @@ def distance_matrix(
     Per-streamline quantities (resampled points, kernel self-products,
     segment descriptors) are computed once and reused, which matches
     per-pair evaluation to within accumulation rounding; a rectangular mdf
-    matrix equals the per-pair d_mdf bit for bit. The optional thread pool
+    matrix equals the per-pair d_mdf bit for bit. mc, sc and lc meet a
+    row's columns in runs of whole streamlines, each entry computed the
+    same way whatever run it falls in. The optional thread pool
     splits the looped axis (rows, or mdf columns when there are fewer);
     output does not depend on the schedule.
     """
     rows = list(rows)
     symmetric = cols is None or cols is rows
+    cols = rows if symmetric else list(cols)
     tag, sigma = kind.tag, kind.param
-    rs = _prepare(kind, rows)
-    cs = rs if symmetric else _prepare(kind, list(cols))
-    out = np.empty((len(rs), len(cs)))
+    closest = tag in _SYMMETRIZE
+    cs = _prepare(kind, cols)
+    # mc/sc/lc read each row's own points, never rs: only columns are flattened.
+    rs = cs if symmetric or closest else _prepare(kind, rows)
+    out = np.empty((len(rows), len(cols)))
 
     def fill_row(i: int) -> None:
         j0 = i if symmetric else 0
-        a = rs[i]
         if tag == "mdf":
-            out[i, j0:] = _mdf_core(a, cs[j0:])
-        elif tag in _SYMMETRIZE:
-            pick = _SYMMETRIZE[tag]
-            for j in range(j0, len(cs)):
-                out[i, j] = pick(*_closest_means(a, cs[j]))
+            out[i, j0:] = _mdf_core(rs[i], cs[j0:])
+        elif closest:
+            out[i, j0:] = _closest_row(_SYMMETRIZE[tag], rows[i].points, *cs, j0)
         else:
+            a = rs[i]
             inner = _gauss_mean if tag == "pdm" else _var_inner
-            for j in range(j0, len(cs)):
+            for j in range(j0, len(cols)):
                 b = cs[j]
                 out[i, j] = _kernel_distance(a[1], b[1], inner(a[0], b[0], sigma))
 
@@ -333,10 +386,10 @@ def distance_matrix(
 
     # A rectangular mdf matrix loops over its shorter side; the rows stay
     # the first argument of _mdf_core, so every entry is the per-pair value.
-    if tag == "mdf" and not symmetric and len(cs) < len(rs):
-        fill, n_tasks = fill_column, len(cs)
+    if tag == "mdf" and not symmetric and len(cols) < len(rows):
+        fill, n_tasks = fill_column, len(cols)
     else:
-        fill, n_tasks = fill_row, len(rs)
+        fill, n_tasks = fill_row, len(rows)
     if threads and threads > 1 and n_tasks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, range(n_tasks)))

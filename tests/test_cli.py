@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tractodist
 from conftest import random_streamline
 from tractodist.cli import main
 from tractodist.distances import distance, distance_matrix, parse_kind
@@ -55,6 +59,19 @@ def make_bundle(tmp_path, name, tractogram, indices, bundle_name="x"):
     path = tmp_path / name
     write_bundle(BundleRef(tractogram, indices, name=bundle_name), path)
     return str(path)
+
+
+# ---------------------------------------------------------------------------
+# python -m tractodist
+# ---------------------------------------------------------------------------
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(tractodist.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "tractodist", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert "usage:" in done.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +133,29 @@ def test_synth_bad_specs_exit_3(tmp_path, capsys, doc):
     else:
         spec = write_spec(tmp_path, doc=doc)
     assert main(["synth", spec, "--out", str(tmp_path / "s")]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def _spec_with(path, value):
+    """SPEC with one field replaced: a top-level key, or bundle a's."""
+    doc = json.loads(json.dumps(SPEC))
+    (doc["bundles"]["a"] if path.startswith("a.") else doc)[path.removeprefix("a.")] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value", [
+    ("noise_streamlines", "x"),
+    ("displacement_sigma", "x"),
+    ("noise_streamlines", [1]),
+    ("noise_streamlines", float("inf")),
+    ("a.streamline_count", float("inf")),
+    ("a.rng_seed", float("inf")),
+])
+def test_synth_bad_numbers_exit_3(tmp_path, capsys, path, value):
+    spec = tmp_path / "spec.json"
+    # 1e400 parses to inf, which no int() accepts.
+    spec.write_text(json.dumps(_spec_with(path, value)).replace("Infinity", "1e400"))
+    assert main(["synth", str(spec), "--out", str(tmp_path / "s")]) == 3
     assert "error:" in capsys.readouterr().err
 
 

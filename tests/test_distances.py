@@ -340,3 +340,106 @@ def test_rigid_motion_invariance_all_kinds():
         for kind in default_kinds():
             assert distance(kind, a, b) == pytest.approx(
                 distance(kind, a2, b2), rel=1e-7, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# The row-batched closest-point kernel (mc, sc, lc)
+# ---------------------------------------------------------------------------
+
+CLOSEST = [MC, SC, LC]
+PICK = {"mc": lambda ab, ba: (ab + ba) / 2.0, "sc": min, "lc": max}
+
+
+def closest_fixture():
+    """Rows of 2-40 points against 26 columns, one of them 1,200 points
+    long: longer than a whole run for every row of 28+ points at the
+    module's run size, and the rest spread over several runs."""
+    rng = np.random.default_rng(37)
+    rows = [random_streamline(rng, n) for n in (2, 17, 28, 40)]
+    cols = [random_streamline(rng, int(rng.integers(2, 30))) for _ in range(25)]
+    cols.insert(10, random_streamline(rng, 1200))
+    return rows, cols
+
+
+@pytest.fixture(scope="module")
+def closest_case():
+    rows, cols = closest_fixture()
+    # Both asymmetric means per pair, from the loop oracle, computed once.
+    means = [[(naive_closest_mean(a.points, b.points), naive_closest_mean(b.points, a.points))
+              for b in cols] for a in rows]
+    return rows, cols, means
+
+
+@pytest.mark.parametrize("run", [None, 64, 300])
+@pytest.mark.parametrize("kind", CLOSEST, ids=str)
+def test_closest_runs_match_oracle(closest_case, kind, run, monkeypatch):
+    if run is not None:
+        monkeypatch.setattr("tractodist.distances._CLOSEST_RUN", run)
+    rows, cols, means = closest_case
+    got = distance_matrix(kind, rows, cols)
+    assert got.shape == (len(rows), len(cols))
+    for i in range(len(rows)):
+        for j in range(len(cols)):
+            assert got[i, j] == pytest.approx(PICK[kind.tag](*means[i][j]), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", CLOSEST, ids=str)
+def test_closest_two_point_streamlines(kind):
+    rng = np.random.default_rng(38)
+    streams = [random_streamline(rng, 2) for _ in range(9)]
+    naive = {"mc": naive_mc, "sc": naive_sc, "lc": naive_lc}[kind.tag]
+    sym = distance_matrix(kind, streams)
+    rect = distance_matrix(kind, streams[:4], streams[4:])
+    for i in range(9):
+        for j in range(9):
+            assert sym[i, j] == pytest.approx(naive(streams[i].points, streams[j].points),
+                                              rel=1e-9, abs=1e-9)
+    for i in range(4):
+        for j in range(5):
+            assert rect[i, j] == pytest.approx(
+                naive(streams[i].points, streams[4 + j].points), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", CLOSEST, ids=str)
+def test_closest_duplicates_are_exactly_zero(kind):
+    rng = np.random.default_rng(39)
+    base = [random_streamline(rng, n) for n in (2, 15, 33)]
+    # The same objects twice, and equal copies built from their points.
+    streams = base + base + [S(s.points.copy()) for s in base]
+    for m in (distance_matrix(kind, streams), distance_matrix(kind, streams, list(streams))):
+        for i in range(len(streams)):
+            for j in range(len(streams)):
+                if i % 3 == j % 3:
+                    assert m[i, j] == 0.0
+                else:
+                    assert m[i, j] > 0.0
+
+
+@pytest.mark.parametrize("run", [None, 64])
+@pytest.mark.parametrize("kind", CLOSEST, ids=str)
+def test_closest_entries_do_not_depend_on_the_call(kind, run, monkeypatch):
+    """One row alone, the symmetric upper triangle, the rectangular matrix
+    and a threaded call give the same bits, whichever run an entry falls
+    in."""
+    if run is not None:
+        monkeypatch.setattr("tractodist.distances._CLOSEST_RUN", run)
+    rows, cols = closest_fixture()
+    streams = rows + cols
+    full = distance_matrix(kind, rows, cols)
+    for i in range(len(rows)):
+        assert np.array_equal(distance_matrix(kind, rows[i:i + 1], cols)[0], full[i])
+    sym = distance_matrix(kind, streams)
+    upper = np.triu_indices(len(streams))
+    assert np.array_equal(sym[upper], distance_matrix(kind, streams, list(streams))[upper])
+    assert np.array_equal(sym, distance_matrix(kind, streams, threads=2))
+    assert np.array_equal(full, distance_matrix(kind, rows, cols, threads=2))
+
+
+@pytest.mark.parametrize("kind", default_kinds(), ids=str)
+def test_empty_rows_or_columns(kind):
+    rng = np.random.default_rng(40)
+    streams = [random_streamline(rng) for _ in range(3)]
+    assert distance_matrix(kind, [], streams).shape == (0, 3)
+    assert distance_matrix(kind, streams, []).shape == (3, 0)
+    assert distance_matrix(kind, []).shape == (0, 0)
+    assert distance_matrix(kind, [], [], threads=2).shape == (0, 0)
