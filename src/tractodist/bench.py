@@ -186,7 +186,6 @@ def run_agreement(
     prototype_count: int = 40,
     subset_size: int | None = None,
     rng_seed: int = 0,
-    threads: int | None = None,
 ) -> AgreementMatrix:
     """Fraction of queries on which each pair of kinds picked the same NN.
 
@@ -206,7 +205,7 @@ def run_agreement(
         picks = np.empty((n_kinds, n_queries), dtype=np.int64)
         for a, kind in enumerate(kinds):
             embedded, tree = prepare_target(
-                target, kind, prototype_count, subset_size, rng_seed, threads
+                target, kind, prototype_count, subset_size, rng_seed
             )
             col = 0
             for ref in example_bundles:
@@ -243,7 +242,6 @@ def run_dsc_experiment(
     prototype_count: int = 40,
     subset_size: int | None = None,
     rng_seed: int = 0,
-    threads: int | None = None,
 ) -> DscTable:
     """Segment every bundle across all ordered subject pairs, tabulate DSC.
 
@@ -271,7 +269,7 @@ def run_dsc_experiment(
     for ti, target in enumerate(subjects):
         for kind in kinds:
             embedded, tree = prepare_target(
-                target.tractogram, kind, prototype_count, subset_size, rng_seed, threads
+                target.tractogram, kind, prototype_count, subset_size, rng_seed
             )
             for ei, example in enumerate(subjects):
                 if ei == ti:

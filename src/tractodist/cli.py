@@ -149,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=_nonneg_int, default=42,
                         help="seed for all randomized steps (default 42)")
-    parser.add_argument("--threads", type=_positive_int, default=None,
-                        help="worker threads for batch distances (default: serial)")
     parser.add_argument("--sigma", type=_positive_float, default=42.0,
                         help="kernel bandwidth in mm for default pdm/var kinds (default 42.0)")
     parser.add_argument("--prototypes", type=_positive_int, default=40,
@@ -292,8 +290,7 @@ def cmd_dist(args) -> int:
             lines.append(f"{i},{j},{distance(args.kind, a[i], b[j]):.17g}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
-    matrix = distance_matrix(args.kind, list(a),
-                             None if b is a else list(b), threads=args.threads)
+    matrix = distance_matrix(args.kind, a, b)
     lines = [",".join(f"{v:.17g}" for v in row) for row in matrix]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -301,11 +298,9 @@ def cmd_dist(args) -> int:
 
 def cmd_embed(args) -> int:
     t = read_tractogram(args.trgx).tractogram
-    protos = select_prototypes_sff(
-        t, args.kind, args.prototypes,
-        subset_size=args.sff_subset, rng_seed=args.seed, threads=args.threads,
-    )
-    emb = embed_tractogram(t, protos, t, args.kind, threads=args.threads)
+    protos = select_prototypes_sff(t, args.kind, args.prototypes,
+                                   subset_size=args.sff_subset, rng_seed=args.seed)
+    emb = embed_tractogram(t, protos, t, args.kind)
     write_embedding(emb, args.out)
     print(f"wrote {args.out}: {len(emb)} x {emb.dimension} ({emb.kind})")
     return 0
@@ -319,10 +314,8 @@ def cmd_segment(args) -> int:
         embedded = read_embedding_for(args.embedding, target, args.kind, args.seed)
         tree = KdTree(embedded.vectors)
     else:
-        embedded, tree = prepare_target(
-            target, args.kind, args.prototypes,
-            subset_size=args.sff_subset, rng_seed=args.seed, threads=args.threads,
-        )
+        embedded, tree = prepare_target(target, args.kind, args.prototypes,
+                                        subset_size=args.sff_subset, rng_seed=args.seed)
     result = segment(example, embedded, tree, target, args.kind)
     doc = result.to_json_dict()
     doc["name"] = result.predicted.name
@@ -350,7 +343,7 @@ def cmd_agreement(args) -> int:
     matrix = run_agreement(
         bundles, targets, args.kinds or default_kinds(args.sigma),
         prototype_count=args.prototypes, subset_size=args.sff_subset,
-        rng_seed=args.seed, threads=args.threads,
+        rng_seed=args.seed,
     )
     _emit(agreement_csv(matrix), args.out)
     return 0
@@ -371,7 +364,7 @@ def cmd_bench(args) -> int:
         table = run_dsc_experiment(
             subjects, kinds, grid=VoxelGrid(voxel_size=args.voxel_size or 1.25),
             prototype_count=args.prototypes, subset_size=args.sff_subset,
-            rng_seed=args.seed, threads=args.threads,
+            rng_seed=args.seed,
         )
         _emit(dsc_table_csv(table), args.out)
         return 0
@@ -380,7 +373,7 @@ def cmd_bench(args) -> int:
     matrix = run_agreement(
         examples, targets, kinds,
         prototype_count=args.prototypes, subset_size=args.sff_subset,
-        rng_seed=args.seed, threads=args.threads,
+        rng_seed=args.seed,
     )
     _emit(agreement_csv(matrix), args.out)
     return 0

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,7 +342,6 @@ def distance_matrix(
     kind: DistanceKind,
     rows: Sequence[Streamline],
     cols: Sequence[Streamline] | None = None,
-    threads: int | None = None,
 ) -> np.ndarray:
     """All pairwise distances between two streamline collections.
 
@@ -354,12 +352,10 @@ def distance_matrix(
     per-pair evaluation to within accumulation rounding; a rectangular mdf
     matrix equals the per-pair d_mdf bit for bit. mc, sc and lc meet a
     row's columns in runs of whole streamlines, each entry computed the
-    same way whatever run it falls in. The optional thread pool
-    splits the looped axis (rows, or mdf columns when there are fewer);
-    output does not depend on the schedule.
+    same way whatever run it falls in.
     """
-    rows = list(rows)
     symmetric = cols is None or cols is rows
+    rows = list(rows)
     cols = rows if symmetric else list(cols)
     tag, sigma = kind.tag, kind.param
     closest = tag in _SYMMETRIZE
@@ -367,35 +363,24 @@ def distance_matrix(
     # mc/sc/lc read each row's own points, never rs: only columns are flattened.
     rs = cs if symmetric or closest else _prepare(kind, rows)
     out = np.empty((len(rows), len(cols)))
-
-    def fill_row(i: int) -> None:
-        j0 = i if symmetric else 0
-        if tag == "mdf":
-            out[i, j0:] = _mdf_core(rs[i], cs[j0:])
-        elif closest:
-            out[i, j0:] = _closest_row(_SYMMETRIZE[tag], rows[i].points, *cs, j0)
-        else:
-            a = rs[i]
-            inner = _gauss_mean if tag == "pdm" else _var_inner
-            for j in range(j0, len(cols)):
-                b = cs[j]
-                out[i, j] = _kernel_distance(a[1], b[1], inner(a[0], b[0], sigma))
-
-    def fill_column(j: int) -> None:
-        out[:, j] = _mdf_core(rs, cs[j])
-
-    # A rectangular mdf matrix loops over its shorter side; the rows stay
-    # the first argument of _mdf_core, so every entry is the per-pair value.
     if tag == "mdf" and not symmetric and len(cols) < len(rows):
-        fill, n_tasks = fill_column, len(cols)
+        # A rectangular mdf matrix loops over its shorter side; the rows stay
+        # the first argument of _mdf_core, so every entry is the per-pair value.
+        for j in range(len(cols)):
+            out[:, j] = _mdf_core(rs, cs[j])
     else:
-        fill, n_tasks = fill_row, len(rows)
-    if threads and threads > 1 and n_tasks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(n_tasks)))
-    else:
-        for k in range(n_tasks):
-            fill(k)
+        inner = _gauss_mean if tag == "pdm" else _var_inner
+        for i in range(len(rows)):
+            j0 = i if symmetric else 0
+            if tag == "mdf":
+                out[i, j0:] = _mdf_core(rs[i], cs[j0:])
+            elif closest:
+                out[i, j0:] = _closest_row(_SYMMETRIZE[tag], rows[i].points, *cs, j0)
+            else:
+                a = rs[i]
+                for j in range(j0, len(cols)):
+                    b = cs[j]
+                    out[i, j] = _kernel_distance(a[1], b[1], inner(a[0], b[0], sigma))
     if symmetric:
         # One row at a time: index arrays over the whole triangle would
         # allocate more than the matrix itself.

@@ -84,7 +84,6 @@ def select_prototypes_sff(
     count: int = DEFAULT_PROTOTYPE_COUNT,
     subset_size: int | None = None,
     rng_seed: int = 0,
-    threads: int | None = None,
 ) -> PrototypeSet:
     """Pick prototype streamlines with the subset farthest first policy.
 
@@ -109,7 +108,7 @@ def select_prototypes_sff(
     rng = np.random.default_rng(rng_seed)
     candidates = np.sort(rng.choice(n, size=min(subset_size, n), replace=False))
     streams = [tractogram[int(i)] for i in candidates]
-    dmat = distance_matrix(kind, streams, threads=threads)
+    dmat = distance_matrix(kind, streams)
 
     # Candidates are sorted ascending, so argmax's first-hit rule breaks
     # ties toward the lowest streamline index.
@@ -131,15 +130,10 @@ def embed_tractogram(
     protos: PrototypeSet,
     source: Tractogram,
     kind: DistanceKind,
-    threads: int | None = None,
 ) -> EmbeddedTractogram:
-    """Embed every streamline of t against the prototypes of source.
-
-    Rows are independent; with a thread pool they are written into a
-    preallocated matrix, so the result never depends on the schedule.
-    """
+    """Embed every streamline of t against the prototypes of source."""
     if kind != protos.kind:
         raise KindMismatch(f"embedding kind {kind} != prototype kind {protos.kind}")
     proto_streams = [source[j] for j in protos.indices]
-    vectors = distance_matrix(kind, list(t), proto_streams, threads=threads)
+    vectors = distance_matrix(kind, list(t), proto_streams)
     return EmbeddedTractogram(vectors, protos, kind)

@@ -68,18 +68,15 @@ def prepare_target(
     prototype_count: int = 40,
     subset_size: int | None = None,
     rng_seed: int = 0,
-    threads: int | None = None,
 ) -> tuple[EmbeddedTractogram, KdTree]:
     """Select prototypes on the target, embed it, and index it.
 
     Convenience wrapper for the query side of the pipeline; segment()
     accepts the two return values directly.
     """
-    protos = select_prototypes_sff(
-        target, kind, prototype_count, subset_size=subset_size,
-        rng_seed=rng_seed, threads=threads,
-    )
-    embedded = embed_tractogram(target, protos, target, kind, threads=threads)
+    protos = select_prototypes_sff(target, kind, prototype_count,
+                                   subset_size=subset_size, rng_seed=rng_seed)
+    embedded = embed_tractogram(target, protos, target, kind)
     tree = KdTree(embedded.vectors)
     return embedded, tree
 

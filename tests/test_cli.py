@@ -458,6 +458,7 @@ def test_bench_agreement_csv(tmp_path):
     ["--voxel-size", "0", "dsc", "a.json", "b.json", "--tractogram", "t.trgx"],
     ["--prototypes", "-3", "embed", "x.trgx", "--kind", "mc", "--out", "e"],
     ["bench", "nonsense"],
+    ["--threads", "2", "dist", "x.trgx", "--kind", "mc"],
 ])
 def test_usage_errors_exit_2(tmp_path, capsys, argv):
     assert main(argv) == 2

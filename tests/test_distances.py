@@ -301,7 +301,7 @@ def test_distance_matrix_matches_per_pair_calls():
         np.testing.assert_array_equal(m, m.T)
 
 
-def test_distance_matrix_rectangular_and_threaded():
+def test_distance_matrix_rectangular():
     rng = np.random.default_rng(34)
     rows = [random_streamline(rng) for _ in range(5)]
     cols = [random_streamline(rng) for _ in range(3)]
@@ -312,20 +312,23 @@ def test_distance_matrix_rectangular_and_threaded():
             for j in range(3):
                 assert m[i, j] == pytest.approx(
                     naive_distance(kind, rows[i], cols[j]), rel=1e-9, abs=1e-9)
-        m2 = distance_matrix(kind, rows, cols, threads=4)
-        np.testing.assert_array_equal(m, m2)
-        m3 = distance_matrix(kind, rows, threads=3)
-        np.testing.assert_array_equal(m3, distance_matrix(kind, rows))
 
 
-@pytest.mark.parametrize("threads", [None, 2])
+@pytest.mark.parametrize("kind", default_kinds(), ids=str)
+def test_same_sequence_twice_is_the_symmetric_matrix(kind):
+    rng = np.random.default_rng(37)
+    streams = [random_streamline(rng) for _ in range(6)]
+    assert np.array_equal(distance_matrix(kind, streams, streams),
+                          distance_matrix(kind, streams))
+
+
 @pytest.mark.parametrize("n_rows, n_cols", [(6, 40), (40, 6)])
-def test_mdf_rectangular_matrix_is_bit_identical_to_per_pair(n_rows, n_cols, threads):
+def test_mdf_rectangular_matrix_is_bit_identical_to_per_pair(n_rows, n_cols):
     rng = np.random.default_rng(36)
     rows = [random_streamline(rng) for _ in range(n_rows)]
     cols = [random_streamline(rng) for _ in range(n_cols)]
     for m in (3, 12, 20):
-        got = distance_matrix(mdf(m), rows, cols, threads=threads)
+        got = distance_matrix(mdf(m), rows, cols)
         expected = np.array([[d_mdf(a, b, m) for b in cols] for a in rows])
         assert np.array_equal(got, expected)
 
@@ -418,9 +421,8 @@ def test_closest_duplicates_are_exactly_zero(kind):
 @pytest.mark.parametrize("run", [None, 64])
 @pytest.mark.parametrize("kind", CLOSEST, ids=str)
 def test_closest_entries_do_not_depend_on_the_call(kind, run, monkeypatch):
-    """One row alone, the symmetric upper triangle, the rectangular matrix
-    and a threaded call give the same bits, whichever run an entry falls
-    in."""
+    """One row alone, the symmetric upper triangle and the rectangular
+    matrix give the same bits, whichever run an entry falls in."""
     if run is not None:
         monkeypatch.setattr("tractodist.distances._CLOSEST_RUN", run)
     rows, cols = closest_fixture()
@@ -431,8 +433,6 @@ def test_closest_entries_do_not_depend_on_the_call(kind, run, monkeypatch):
     sym = distance_matrix(kind, streams)
     upper = np.triu_indices(len(streams))
     assert np.array_equal(sym[upper], distance_matrix(kind, streams, list(streams))[upper])
-    assert np.array_equal(sym, distance_matrix(kind, streams, threads=2))
-    assert np.array_equal(full, distance_matrix(kind, rows, cols, threads=2))
 
 
 @pytest.mark.parametrize("kind", default_kinds(), ids=str)
@@ -442,4 +442,3 @@ def test_empty_rows_or_columns(kind):
     assert distance_matrix(kind, [], streams).shape == (0, 3)
     assert distance_matrix(kind, streams, []).shape == (3, 0)
     assert distance_matrix(kind, []).shape == (0, 0)
-    assert distance_matrix(kind, [], [], threads=2).shape == (0, 0)

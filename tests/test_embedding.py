@@ -125,16 +125,6 @@ def test_embed_tractogram_matches_rowwise_embed():
                                    rtol=1e-9, atol=1e-12)
 
 
-def test_embed_tractogram_thread_count_invariant():
-    rng = np.random.default_rng(48)
-    streams = [random_streamline(rng) for _ in range(9)]
-    t = Tractogram(streams)
-    protos = select_prototypes_sff(t, MC, 4, rng_seed=3)
-    a = embed_tractogram(t, protos, t, MC)
-    b = embed_tractogram(t, protos, t, MC, threads=4)
-    np.testing.assert_array_equal(a.vectors, b.vectors)
-
-
 def test_embedded_tractogram_validates_kind():
     rng = np.random.default_rng(49)
     t = Tractogram([random_streamline(rng) for _ in range(4)])

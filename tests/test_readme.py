@@ -1,0 +1,26 @@
+"""README.md stays true to the code: its library imports run and its list
+of global options is the parser's."""
+
+import re
+from pathlib import Path
+
+from tractodist.cli import build_parser
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def test_library_entry_points_block_runs():
+    block = re.search(r"## Library entry points\s*```python\n(.*?)```", README, re.S)
+    assert block is not None
+    exec(block.group(1), {})
+
+
+def test_global_options_sentence_names_every_global_option():
+    sentence = re.search(r"Global options\s*\((.*?)\)\s*go\s+before\s+the\s+subcommand",
+                         README, re.S)
+    assert sentence is not None
+    documented = re.findall(r"`(--[a-z-]+)`", sentence.group(1))
+    defined = [opt for action in build_parser()._actions
+               for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"]
+    assert sorted(documented) == sorted(defined)
