@@ -35,6 +35,7 @@ from .distances import (
     default_kinds,
     mdf_min_direct_flipped,
 )
+from .embedding import DEFAULT_PROTOTYPE_COUNT
 from .errors import EmptyInput, NoQueries
 from .model import BundleRef, Streamline, Tractogram, resample_stack
 from .segmentation import VoxelGrid, dsc, prepare_target, segment, voxelize
@@ -183,7 +184,7 @@ def run_agreement(
     example_bundles: Sequence[BundleRef],
     targets: Sequence[Tractogram],
     kinds: Sequence[DistanceKind] | None = None,
-    prototype_count: int = 40,
+    prototype_count: int = DEFAULT_PROTOTYPE_COUNT,
     subset_size: int | None = None,
     rng_seed: int = 0,
 ) -> AgreementMatrix:
@@ -239,7 +240,7 @@ def run_dsc_experiment(
     subjects: Sequence[SyntheticSubject],
     kinds: Sequence[DistanceKind] | None = None,
     grid: VoxelGrid | None = None,
-    prototype_count: int = 40,
+    prototype_count: int = DEFAULT_PROTOTYPE_COUNT,
     subset_size: int | None = None,
     rng_seed: int = 0,
 ) -> DscTable:

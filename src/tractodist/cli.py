@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -42,21 +43,9 @@ from .bench import (
     run_timing,
     timing_csv,
 )
-from .distances import DistanceKind, default_kinds, distance, distance_matrix, parse_kind
-from .embedding import embed_tractogram, select_prototypes_sff
-from .errors import (
-    BadMagic,
-    CountMismatch,
-    EmptyTractogram,
-    FewerThanTwoDistinctPoints,
-    HeaderMismatch,
-    IndexOutOfRange,
-    InvalidSpec,
-    MalformedJson,
-    NonFiniteCoordinate,
-    TractodistError,
-    TruncatedFile,
-)
+from .distances import DEFAULT_SIGMA, DistanceKind, default_kinds, distance_matrix, parse_kind, pdm
+from .embedding import DEFAULT_PROTOTYPE_COUNT, embed_tractogram, select_prototypes_sff
+from .errors import DataError, IndexOutOfRange, InvalidSpec, TractodistError
 from .io import (
     read_bundle,
     read_embedding_for,
@@ -67,23 +56,8 @@ from .io import (
     write_embedding,
     write_tractogram,
 )
-from .segmentation import VoxelGrid, dsc, prepare_target, segment, voxelize
+from .segmentation import DEFAULT_VOXEL_SIZE, VoxelGrid, dsc, prepare_target, segment, voxelize
 from .synth import BundleSpec, generate_subject, perturb_subject
-
-# Errors caused by what is *in* (or missing from) an input file.
-_DATA_ERRORS = (
-    OSError,
-    BadMagic,
-    TruncatedFile,
-    CountMismatch,
-    EmptyTractogram,
-    NonFiniteCoordinate,
-    FewerThanTwoDistinctPoints,
-    MalformedJson,
-    HeaderMismatch,
-    IndexOutOfRange,
-    InvalidSpec,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +67,13 @@ _DATA_ERRORS = (
 def _kind_arg(text: str) -> DistanceKind:
     try:
         return parse_kind(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _sigma_arg(text: str) -> float:
+    try:
+        return pdm(float(text)).param
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -117,23 +98,19 @@ def _nonneg_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     v = float(text)
-    if not v > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {v}")
+    if not 0 < v < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {v}")
     return v
 
 
 def _pairs_arg(text: str) -> list[tuple[int, int]]:
     pairs = []
     for part in text.split(","):
-        i, sep, j = part.partition(":")
-        if not sep:
-            raise argparse.ArgumentTypeError(f"pair {part!r} is not of the form i:j")
+        i, _, j = part.partition(":")  # no ":" leaves j empty, which int() rejects
         try:
             pairs.append((int(i), int(j)))
         except ValueError:
             raise argparse.ArgumentTypeError(f"pair {part!r} is not of the form i:j") from None
-    if not pairs:
-        raise argparse.ArgumentTypeError("empty pair list")
     return pairs
 
 
@@ -149,12 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=_nonneg_int, default=42,
                         help="seed for all randomized steps (default 42)")
-    parser.add_argument("--sigma", type=_positive_float, default=42.0,
-                        help="kernel bandwidth in mm for default pdm/var kinds (default 42.0)")
-    parser.add_argument("--prototypes", type=_positive_int, default=40,
-                        help="embedding dimension / prototype count (default 40)")
+    parser.add_argument("--sigma", type=_sigma_arg, default=DEFAULT_SIGMA,
+                        help="kernel bandwidth in mm for default pdm/var kinds "
+                             "(default %(default)s)")
+    parser.add_argument("--prototypes", type=_positive_int, default=DEFAULT_PROTOTYPE_COUNT,
+                        help="embedding dimension / prototype count (default %(default)s)")
     parser.add_argument("--voxel-size", type=_positive_float, default=None,
-                        help="voxel edge in mm (default 1.25, or the TRGX header)")
+                        help=f"voxel edge in mm (default {DEFAULT_VOXEL_SIZE}, "
+                             f"or the TRGX header)")
     parser.add_argument("--sff-subset", type=_positive_int, default=None,
                         help="candidate subset size for prototype selection "
                              "(default: min(N, 2000))")
@@ -269,7 +248,7 @@ def cmd_synth(args) -> int:
 
     trgx_path = f"{args.out}.trgx"
     write_tractogram(subject.tractogram, trgx_path,
-                     voxel_size=args.voxel_size or 1.25)
+                     voxel_size=args.voxel_size or DEFAULT_VOXEL_SIZE)
     print(f"wrote {trgx_path}")
     for name, ref in subject.truth.items():
         bundle_path = f"{args.out}.{name}.json"
@@ -287,7 +266,11 @@ def cmd_dist(args) -> int:
         for i, j in args.pairs:
             if not (0 <= i < len(a) and 0 <= j < len(b)):
                 raise IndexOutOfRange(f"pair {i}:{j} out of range ({len(a)} x {len(b)})")
-            lines.append(f"{i},{j},{distance(args.kind, a[i], b[j]):.17g}")
+            # The entry the full matrix prints: a symmetric matrix computes
+            # its upper triangle and mirrors it.
+            r, c = sorted((i, j)) if b is a else (i, j)
+            d = distance_matrix(args.kind, [a[r]], [b[c]])[0, 0]
+            lines.append(f"{i},{j},{d:.17g}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     matrix = distance_matrix(args.kind, a, b)
@@ -317,9 +300,7 @@ def cmd_segment(args) -> int:
         embedded, tree = prepare_target(target, args.kind, args.prototypes,
                                         subset_size=args.sff_subset, rng_seed=args.seed)
     result = segment(example, embedded, tree, target, args.kind)
-    doc = result.to_json_dict()
-    doc["name"] = result.predicted.name
-    write_atomic(args.out, (json.dumps(doc, indent=1) + "\n").encode())
+    write_atomic(args.out, (json.dumps(result.to_json_dict(), indent=1) + "\n").encode())
     print(f"wrote {args.out}: {len(result.predicted)} streamlines predicted")
     return 0
 
@@ -362,7 +343,7 @@ def cmd_bench(args) -> int:
     )
     if args.analysis == "dsc":
         table = run_dsc_experiment(
-            subjects, kinds, grid=VoxelGrid(voxel_size=args.voxel_size or 1.25),
+            subjects, kinds, grid=VoxelGrid(voxel_size=args.voxel_size or DEFAULT_VOXEL_SIZE),
             prototype_count=args.prototypes, subset_size=args.sff_subset,
             rng_seed=args.seed,
         )
@@ -391,7 +372,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _DATA_ERRORS as exc:
+    except (OSError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except TractodistError as exc:

@@ -55,16 +55,16 @@ class DistanceKind:
                 raise ValueError("mdf requires an integer point count m >= 2")
             object.__setattr__(self, "param", int(self.param))
         else:
-            if self.param is None or not self.param > 0:
-                raise ValueError(f"{self.tag} requires a bandwidth sigma > 0")
+            # The kernel divides by sigma squared; 0 or inf there makes every
+            # distance NaN or 0.
+            s = self.param
+            if s is None or not (s > 0 and 0 < s * s < math.inf):
+                raise ValueError(f"{self.tag} requires a sigma > 0 with a finite nonzero square")
             object.__setattr__(self, "param", float(self.param))
 
     def __str__(self) -> str:
-        if self.param is None:
-            return self.tag
-        if self.tag == "mdf":
-            return f"mdf-{self.param}"
-        return f"{self.tag}-{self.param:.1f}"
+        """The canonical string, which parse_kind reads back to this kind."""
+        return self.tag if self.param is None else f"{self.tag}-{self.param!r}"
 
 
 MC = DistanceKind("mc")

@@ -10,13 +10,18 @@ class TractodistError(Exception):
     """Base class for all errors raised by tractodist."""
 
 
+class DataError(TractodistError):
+    """An error caused by what is in (or missing from) an input; the CLI
+    exits 3 on these and 4 on every other TractodistError."""
+
+
 # --- geometry / model -------------------------------------------------------
 
-class NonFiniteCoordinate(TractodistError):
+class NonFiniteCoordinate(DataError):
     """A coordinate or matrix entry is NaN or infinite."""
 
 
-class FewerThanTwoDistinctPoints(TractodistError):
+class FewerThanTwoDistinctPoints(DataError):
     """A streamline has fewer than two distinct points after cleanup."""
 
 
@@ -54,7 +59,7 @@ class BothEmpty(TractodistError):
 
 # --- synth / bench ----------------------------------------------------------
 
-class InvalidSpec(TractodistError):
+class InvalidSpec(DataError):
     """A synthetic bundle specification violates its constraints."""
 
 
@@ -64,29 +69,29 @@ class NoQueries(TractodistError):
 
 # --- file formats -----------------------------------------------------------
 
-class BadMagic(TractodistError):
+class BadMagic(DataError):
     """File does not start with the expected magic bytes."""
 
 
-class TruncatedFile(TractodistError):
+class TruncatedFile(DataError):
     """File ends before the declared payload is complete."""
 
 
-class CountMismatch(TractodistError):
+class CountMismatch(DataError):
     """A declared count disagrees with the actual payload."""
 
 
-class EmptyTractogram(TractodistError):
+class EmptyTractogram(DataError):
     """Tractogram files must contain at least one streamline."""
 
 
-class MalformedJson(TractodistError):
+class MalformedJson(DataError):
     """A JSON document is unparseable or missing required fields."""
 
 
-class IndexOutOfRange(TractodistError):
+class IndexOutOfRange(DataError):
     """A streamline index does not exist in the referenced tractogram."""
 
 
-class HeaderMismatch(TractodistError):
+class HeaderMismatch(DataError):
     """A file header is internally inconsistent or unusable."""

@@ -12,11 +12,11 @@ EMBD layout:
 
     magic   8 bytes   b"EMBD\\x00\\x00\\x00\\x01"
     klen    2 bytes   uint16 length of the kind string
-    kind    klen      UTF-8 kind string (full-precision parameter)
+    kind    klen      UTF-8 kind string, str(kind)
     d       4 bytes   uint32 prototype count
     protos  8*d       uint64 prototype indices
     N       8 bytes   uint64 row count (>= 1)
-    then N x d float64 row-major distances
+    then N x d float64 row-major distances (finite, >= 0)
 
 Coordinates are float64 in memory and float32 on disk, so writing
 quantizes once; reading an already-quantized tractogram back is
@@ -28,6 +28,7 @@ specific errors below (never a bare struct/ValueError).
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -48,6 +49,7 @@ from .errors import (
     TruncatedFile,
 )
 from .model import BundleRef, Streamline, Tractogram, build_streamline
+from .segmentation import DEFAULT_VOXEL_SIZE
 
 TRGX_MAGIC = b"TRGX\x00\x00\x00\x01"
 EMBD_MAGIC = b"EMBD\x00\x00\x00\x01"
@@ -107,7 +109,7 @@ class _Cursor:
 def write_tractogram(
     t: Tractogram,
     path,
-    voxel_size: float = 1.25,
+    voxel_size: float = DEFAULT_VOXEL_SIZE,
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
 ) -> None:
     """Write a tractogram as TRGX, quantizing coordinates to float32."""
@@ -238,19 +240,9 @@ def _decode_block(data: bytes, offsets: list, counts: list) -> list:
 # EMBD
 # ---------------------------------------------------------------------------
 
-def _kind_header_string(kind: DistanceKind) -> str:
-    # Full-precision parameter so the header parses back to the same kind;
-    # the one-decimal display form would alias nearby sigmas.
-    if kind.param is None:
-        return kind.tag
-    if isinstance(kind.param, int):
-        return f"{kind.tag}-{kind.param}"
-    return f"{kind.tag}-{kind.param!r}"
-
-
 def write_embedding(emb: EmbeddedTractogram, path) -> None:
     """Write an embedding matrix as EMBD (lossless: float64 payload)."""
-    kind_bytes = _kind_header_string(emb.kind).encode("utf-8")
+    kind_bytes = str(emb.kind).encode("utf-8")
     chunks = [
         EMBD_MAGIC,
         struct.pack("<H", len(kind_bytes)),
@@ -287,8 +279,12 @@ def read_embedding(path) -> EmbeddedTractogram:
     if cur.remaining():
         raise HeaderMismatch(f"{path}: {cur.remaining()} trailing byte(s)")
     vectors = np.frombuffer(payload, dtype="<f8").reshape(n_rows, d)
-    if not np.all(np.isfinite(vectors)):
-        raise HeaderMismatch(f"{path}: non-finite embedding entries")
+    # Entries are distances. Up to this bound, a squared distance between
+    # two rows stays below a quarter of the float64 maximum, so the k-d
+    # search cannot overflow (NaN fails both comparisons).
+    bound = math.sqrt(np.finfo(np.float64).max / d) / 2
+    if not (vectors.min() >= 0 and vectors.max() <= bound):
+        raise HeaderMismatch(f"{path}: embedding entries must be distances in [0, {bound:.3g}]")
     protos = PrototypeSet(indices=tuple(int(i) for i in indices), kind=kind)
     return EmbeddedTractogram(vectors.astype(np.float64), protos, kind)
 

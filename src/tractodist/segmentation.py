@@ -9,17 +9,29 @@ bundles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ann import KdTree
 from .distances import DistanceKind, distance_matrix
-from .embedding import EmbeddedTractogram, embed_tractogram, select_prototypes_sff
+from .embedding import (
+    DEFAULT_PROTOTYPE_COUNT,
+    EmbeddedTractogram,
+    embed_tractogram,
+    select_prototypes_sff,
+)
 from .errors import BothEmpty, EmptyExampleBundle, IndexOutOfRange, InvalidSpec, KindMismatch
 from .model import BundleRef, Tractogram, points_at_arc_lengths, arc_lengths
 
 VoxelSet = set  # of (i, j, k) integer tuples
+
+DEFAULT_VOXEL_SIZE = 1.25  # mm
+
+# Most samples voxelize takes on one streamline (a 655 m walk at the default
+# voxel size peaks at ~250 MB); a longer walk is rejected before allocation.
+MAX_VOXEL_SAMPLES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -27,11 +39,11 @@ class VoxelGrid:
     """Isotropic voxel grid: origin in mm and edge length in mm."""
 
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    voxel_size: float = 1.25
+    voxel_size: float = DEFAULT_VOXEL_SIZE
 
     def __post_init__(self):
-        if not self.voxel_size > 0:
-            raise InvalidSpec(f"voxel size must be positive, got {self.voxel_size}")
+        if not 0 < self.voxel_size < math.inf:
+            raise InvalidSpec(f"voxel size must be finite and positive, got {self.voxel_size}")
 
 
 @dataclass(frozen=True)
@@ -59,13 +71,14 @@ class SegmentationResult:
             "predicted": list(self.predicted.indices),
             "multiplicity": {str(k): v for k, v in sorted(self.multiplicity.items())},
             "per_query": [[e, t, d] for e, t, d in self.per_query],
+            "name": self.predicted.name,
         }
 
 
 def prepare_target(
     target: Tractogram,
     kind: DistanceKind,
-    prototype_count: int = 40,
+    prototype_count: int = DEFAULT_PROTOTYPE_COUNT,
     subset_size: int | None = None,
     rng_seed: int = 0,
 ) -> tuple[EmbeddedTractogram, KdTree]:
@@ -153,6 +166,9 @@ def voxelize(bundle: BundleRef, tractogram: Tractogram, grid: VoxelGrid) -> Voxe
             raise IndexOutOfRange(f"bundle index {i} not in tractogram of size {n}")
         pts = tractogram[i].points
         total = arc_lengths(pts)[-1]
+        if total / step > MAX_VOXEL_SAMPLES:
+            raise InvalidSpec(f"streamline {i} ({total:.6g} mm) needs more than "
+                              f"{MAX_VOXEL_SAMPLES} samples at voxel size {grid.voxel_size:g} mm")
         ts = np.arange(0.0, total, step)
         ts = np.append(ts, total)
         samples = points_at_arc_lengths(pts, ts)

@@ -9,8 +9,9 @@ import pytest
 
 import tractodist
 from conftest import random_streamline
+from tractodist import errors
 from tractodist.cli import main
-from tractodist.distances import distance, distance_matrix, parse_kind
+from tractodist.distances import default_kinds, distance, distance_matrix, parse_kind
 from tractodist.embedding import (
     EmbeddedTractogram,
     PrototypeSet,
@@ -197,6 +198,26 @@ def test_dist_pairs_mode(tmp_path, capsys):
     assert (i, j) == ("0", "3")
     assert float(d) == distance(parse_kind("sc"), t[0], t[3])
     assert float(lines[2].split(",")[2]) == 0.0
+
+
+@pytest.mark.parametrize("kind", [str(k) for k in default_kinds()])
+@pytest.mark.parametrize("two_files", [False, True])
+def test_dist_pairs_prints_the_dist_entries(tmp_path, capsys, kind, two_files):
+    path_a, a = make_trgx(tmp_path, "a.trgx", n=7, seed=11)
+    files = [path_a]
+    n_cols = len(a)
+    if two_files:
+        path_b, b = make_trgx(tmp_path, "b.trgx", n=6, seed=12)
+        files.append(path_b)
+        n_cols = len(b)
+    assert main(["dist", *files, "--kind", kind]) == 0
+    matrix = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    pairs = [(i, j) for i in range(len(a)) for j in range(n_cols)]
+    text = ",".join(f"{i}:{j}" for i, j in pairs)
+    assert main(["dist", *files, "--kind", kind, "--pairs", text]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "i,j,distance"
+    assert lines[1:] == [f"{i},{j},{matrix[i][j]}" for i, j in pairs]
 
 
 def test_dist_pairs_out_of_range_exit_3(tmp_path, capsys):
@@ -463,6 +484,43 @@ def test_bench_agreement_csv(tmp_path):
 def test_usage_errors_exit_2(tmp_path, capsys, argv):
     assert main(argv) == 2
     capsys.readouterr()
+
+
+# What is in (or missing from) an input: exit 3. Everything else: exit 4.
+DATA_ERRORS = {
+    "DataError", "BadMagic", "TruncatedFile", "CountMismatch", "EmptyTractogram",
+    "NonFiniteCoordinate", "FewerThanTwoDistinctPoints", "MalformedJson",
+    "HeaderMismatch", "IndexOutOfRange", "InvalidSpec",
+}
+RAISED = [OSError] + [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.TractodistError)
+]
+
+
+@pytest.mark.parametrize("error", RAISED, ids=[cls.__name__ for cls in RAISED])
+def test_exit_code_of_each_error_class(tmp_path, capsys, monkeypatch, error):
+    def cmd_dist(args):
+        raise error("raised on purpose")
+
+    monkeypatch.setattr("tractodist.cli.cmd_dist", cmd_dist)
+    expected = 3 if error is OSError or error.__name__ in DATA_ERRORS else 4
+    assert main(["dist", "x.trgx", "--kind", "mc"]) == expected
+    assert capsys.readouterr().err == "error: raised on purpose\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--voxel-size", "inf", "dsc", "a.json", "b.json", "--tractogram", "t.trgx"],
+    ["--voxel-size", "nan", "dsc", "a.json", "b.json", "--tractogram", "t.trgx"],
+    ["--sigma", "inf", "dist", "x.trgx", "--kind", "mc"],
+    ["--sigma", "1e-300", "dist", "x.trgx", "--kind", "mc"],
+    ["dist", "x.trgx", "--kind", "pdm-inf"],
+    ["dist", "x.trgx", "--kind", "var-nan"],
+    ["dist", "x.trgx", "--kind", "pdm-1e200"],
+])
+def test_degenerate_sizes_and_bandwidths_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_missing_trgx_exit_3(tmp_path, capsys):

@@ -79,6 +79,27 @@ def test_kind_validation():
         DistanceKind("bogus")
 
 
+@pytest.mark.parametrize("sigma", [0.04, 1.21, 1.25, 3.14159, 42.0])
+def test_every_kind_string_parses_back(sigma):
+    for kind in (pdm(sigma), varifolds(sigma)):
+        assert parse_kind(str(kind)) == kind
+        assert str(kind).endswith(repr(sigma))
+
+
+def test_nearby_bandwidths_get_different_labels():
+    assert str(pdm(1.25)) == "pdm-1.25"
+    assert str(pdm(1.21)) == "pdm-1.21"
+
+
+@pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan, 1e-300, 1e200])
+def test_kernel_kinds_reject_bandwidths_without_a_finite_nonzero_square(sigma):
+    for tag in ("pdm", "var"):
+        with pytest.raises(ValueError):
+            DistanceKind(tag, sigma)
+        with pytest.raises(ValueError):
+            parse_kind(f"{tag}-{sigma}")
+
+
 def test_default_kinds_order():
     assert [str(k) for k in default_kinds()] == [
         "mc", "sc", "lc", "mdf-12", "mdf-20", "mdf-32", "pdm-42.0", "var-42.0",

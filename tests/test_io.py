@@ -319,14 +319,14 @@ def test_embd_roundtrip_lossless(tmp_path):
 
 
 def test_embd_header_keeps_full_precision_param(tmp_path):
-    # The display form rounds the parameter to one decimal; the file header
-    # must not, or reloading would silently change the kind.
+    # The header must keep every digit, or reloading would silently change
+    # the kind; it is the kind's one string form.
     sigma = 3.14159
     emb = small_embedding(kind=pdm(sigma), d=3)
     path = tmp_path / "a.embd"
     write_embedding(emb, path)
     assert read_embedding(path).kind.param == sigma
-    assert str(pdm(sigma)) == "pdm-3.1"
+    assert str(pdm(sigma)) == "pdm-3.14159"
 
 
 def craft_embd(kind=b"mc", indices=(0, 1, 2), rows=2, payload=None, magic=EMBD_MAGIC):
@@ -358,6 +358,31 @@ def test_embd_read_errors(tmp_path):
         path.write_bytes(data)
         with pytest.raises(HeaderMismatch):
             read_embedding(path)
+
+
+@pytest.mark.parametrize("entry", [-5.0, -1e-300, 1e154, 1e200, np.inf, np.nan])
+def test_embd_entries_must_be_distances_the_tree_can_square(tmp_path, entry):
+    payload = np.arange(30, dtype="<f8")
+    payload[-2] = entry
+    path = tmp_path / "e.embd"
+    path.write_bytes(craft_embd(indices=(0, 1, 2), rows=10, payload=payload.tobytes()))
+    with pytest.raises(HeaderMismatch):
+        read_embedding(path)
+
+
+def test_embd_entries_up_to_the_bound_are_accepted(tmp_path):
+    payload = np.full(30, 1e153, dtype="<f8")
+    path = tmp_path / "e.embd"
+    path.write_bytes(craft_embd(indices=(0, 1, 2), rows=10, payload=payload.tobytes()))
+    assert read_embedding(path).vectors.max() == 1e153
+
+
+@pytest.mark.parametrize("kind", [b"pdm-inf", b"var-nan", b"pdm-1e400"])
+def test_embd_non_finite_bandwidth_is_a_header_mismatch(tmp_path, kind):
+    path = tmp_path / "e.embd"
+    path.write_bytes(craft_embd(kind=kind))
+    with pytest.raises(HeaderMismatch):
+        read_embedding(path)
 
 
 def test_embd_seeded_mutation_fuzz(tmp_path):

@@ -245,6 +245,24 @@ def test_voxel_grid_validates():
         VoxelGrid(voxel_size=-1.0)
 
 
+def test_voxel_grid_rejects_non_finite_sizes():
+    for size in (math.inf, math.nan):
+        with pytest.raises(InvalidSpec):
+            VoxelGrid(voxel_size=size)
+
+
+def test_voxelize_rejects_a_walk_past_the_sample_bound(monkeypatch):
+    t = Tractogram([build_streamline([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])])
+    for size in (1e-30, 1e-300):
+        with pytest.raises(InvalidSpec):
+            voxelize(BundleRef(t, [0]), t, VoxelGrid(voxel_size=size))
+    # 100 mm at half-voxel steps: exactly at, then just past the bound.
+    monkeypatch.setattr("tractodist.segmentation.MAX_VOXEL_SAMPLES", 1000)
+    assert len(voxelize(BundleRef(t, [0]), t, VoxelGrid(voxel_size=0.2))) == 501
+    with pytest.raises(InvalidSpec):
+        voxelize(BundleRef(t, [0]), t, VoxelGrid(voxel_size=0.1999))
+
+
 # ---------------------------------------------------------------------------
 # dsc
 # ---------------------------------------------------------------------------
