@@ -192,11 +192,13 @@ def _interpolate(points: np.ndarray, cum: np.ndarray, last: np.ndarray,
     points = points.reshape(-1, 3)
     start = cum[idx]
     seglen = cum[idx + 1] - start
-    p0 = points[idx]
-    seg = points[idx + 1] - p0
+    p0 = np.take(points, idx, axis=0)  # 2-3x faster than points[idx] on (k, 3) rows
+    seg = np.take(points, idx + 1, axis=0) - p0
     moved = seglen > 0.0
     frac = np.where(moved, (ts - start) / np.where(moved, seglen, 1.0), 0.0)
-    return p0 + frac[..., None] * seg
+    seg *= frac[..., None]
+    seg += p0  # p0 + frac * seg, in place: two fewer (b, k, 3) temporaries
+    return seg
 
 
 def points_at_arc_lengths(points: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -208,6 +210,15 @@ def points_at_arc_lengths(points: np.ndarray, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=np.float64)
     last = np.array([len(points) - 1])
     return _interpolate(points[None], arc_lengths(points)[None], last, ts[None])[0]
+
+
+def _pad_polylines(polylines: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack polylines as _interpolate takes them: (b, n, 3), each padded to
+    the longest by repeating its last vertex, plus each one's last index."""
+    counts = np.array([len(p) for p in polylines])
+    first = np.cumsum(counts) - counts
+    take = first[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+    return np.concatenate(polylines)[take], counts - 1
 
 
 def _resample_padded(points: np.ndarray, last: np.ndarray, m: int) -> np.ndarray:
@@ -243,11 +254,8 @@ def resample_stack(streamlines: Sequence[Streamline], m: int) -> np.ndarray:
     pts = [s.points for s in streamlines]
     out = np.empty((len(pts), m, 3))
     for lo in range(0, len(pts), _RESAMPLE_BLOCK):
-        block = pts[lo:lo + _RESAMPLE_BLOCK]
-        counts = np.array([len(p) for p in block])
-        first = np.cumsum(counts) - counts
-        take = first[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)
-        out[lo:lo + len(block)] = _resample_padded(np.concatenate(block)[take], counts - 1, m)
+        points, last = _pad_polylines(pts[lo:lo + _RESAMPLE_BLOCK])
+        out[lo:lo + len(last)] = _resample_padded(points, last, m)
     return out
 
 

@@ -25,7 +25,7 @@ from tractodist.io import (
     write_embedding,
     write_tractogram,
 )
-from tractodist.model import BundleRef, Tractogram
+from tractodist.model import BundleRef, Tractogram, build_streamline
 from tractodist.segmentation import VoxelGrid, dsc, prepare_target, segment, voxelize
 
 SPEC = {
@@ -196,7 +196,7 @@ def test_dist_pairs_mode(tmp_path, capsys):
     assert lines[0] == "i,j,distance"
     i, j, d = lines[1].split(",")
     assert (i, j) == ("0", "3")
-    assert float(d) == distance(parse_kind("sc"), t[0], t[3])
+    assert float(d) == distance_matrix(parse_kind("sc"), t)[0, 3]
     assert float(lines[2].split(",")[2]) == 0.0
 
 
@@ -400,6 +400,19 @@ def test_dsc_matches_library_and_reads_header_grid(tmp_path, capsys):
     expected = dsc(voxelize(BundleRef(t, [0, 1, 2]), t, grid),
                    voxelize(BundleRef(t, [2, 3]), t, grid))
     assert capsys.readouterr().out.strip() == f"{expected:.6f}"
+
+
+def test_dsc_voxel_index_outside_int64_exits_3(tmp_path, capsys):
+    # float32 holds 1e30, so a TRGX file can place a streamline there.
+    t = Tractogram([build_streamline([[x, 0.0, 0.0], [x, 1.0, 0.0]]) for x in (1e30, -1e30)])
+    path = tmp_path / "far.trgx"
+    write_tractogram(t, path)
+    t = read_tractogram(path).tractogram
+    b1 = make_bundle(tmp_path, "b1.json", t, [0])
+    b2 = make_bundle(tmp_path, "b2.json", t, [1])
+    assert main(["dsc", b1, b2, "--tractogram", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "outside int64" in err and "Traceback" not in err
 
 
 def test_dsc_accepts_segmentation_result_json(tmp_path, capsys):

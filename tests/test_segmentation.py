@@ -7,8 +7,21 @@ from conftest import naive_nearest, random_streamline
 from tractodist.ann import KdTree
 from tractodist.bench import default_benchmark_subjects
 from tractodist.distances import MC, distance, distance_matrix, mdf
-from tractodist.errors import BothEmpty, EmptyExampleBundle, InvalidSpec, KindMismatch
-from tractodist.model import BundleRef, Tractogram, build_streamline
+from tractodist import segmentation
+from tractodist.errors import (
+    BothEmpty,
+    EmptyExampleBundle,
+    IndexOutOfRange,
+    InvalidSpec,
+    KindMismatch,
+)
+from tractodist.model import (
+    BundleRef,
+    Tractogram,
+    arc_lengths,
+    build_streamline,
+    points_at_arc_lengths,
+)
 from tractodist.synth import random_smooth_curve
 from tractodist.segmentation import (
     VoxelGrid,
@@ -261,6 +274,124 @@ def test_voxelize_rejects_a_walk_past_the_sample_bound(monkeypatch):
     assert len(voxelize(BundleRef(t, [0]), t, VoxelGrid(voxel_size=0.2))) == 501
     with pytest.raises(InvalidSpec):
         voxelize(BundleRef(t, [0]), t, VoxelGrid(voxel_size=0.1999))
+
+
+def reference_voxelize(bundle, tractogram, grid):
+    """voxelize one streamline at a time: the per-streamline walk that the
+    blocked walk must equal set for set, with the same checks raised for
+    the first bad streamline in bundle order."""
+    step = grid.voxel_size / 2.0
+    origin = np.asarray(grid.origin, dtype=np.float64)
+    voxels = set()
+    n = len(tractogram)
+    for i in bundle.indices:
+        if i >= n:
+            raise IndexOutOfRange(f"bundle index {i} not in tractogram of size {n}")
+        pts = tractogram[i].points
+        total = arc_lengths(pts)[-1]
+        if total / step > segmentation.MAX_VOXEL_SAMPLES:
+            raise InvalidSpec(f"streamline {i} ({total:.6g} mm) needs more than "
+                              f"{segmentation.MAX_VOXEL_SAMPLES} samples at voxel size "
+                              f"{grid.voxel_size:g} mm")
+        ts = np.append(np.arange(0.0, total, step), total)
+        floored = np.floor((points_at_arc_lengths(pts, ts) - origin) / grid.voxel_size)
+        if not ((floored >= -2.0 ** 63) & (floored < 2.0 ** 63)).all():
+            raise InvalidSpec(f"streamline {i} reaches a voxel index outside int64 "
+                              f"at voxel size {grid.voxel_size:g} mm")
+        voxels.update(map(tuple, floored.astype(np.int64).tolist()))
+    return voxels
+
+
+def mixed_tractogram(seed, n):
+    """Random walks of 2 to 39 points and lengths from a few mm to ~200 mm."""
+    rng = np.random.default_rng(seed)
+    return Tractogram([random_streamline(rng, scale=float(rng.uniform(2.0, 120.0)))
+                       for _ in range(n)])
+
+
+ROWS = segmentation._VOXEL_ROWS
+
+
+@pytest.mark.parametrize("size", [0, 1, ROWS - 1, ROWS, ROWS + 1])
+@pytest.mark.parametrize("voxel_size", [1.25, 1.7, 0.3])
+@pytest.mark.parametrize("block_samples", [segmentation._VOXEL_BLOCK_SAMPLES, 700])
+def test_blocked_voxelize_equals_the_per_streamline_walk(monkeypatch, size, voxel_size,
+                                                         block_samples):
+    monkeypatch.setattr(segmentation, "_VOXEL_BLOCK_SAMPLES", block_samples)
+    t = mixed_tractogram(70, ROWS + 12)
+    picks = np.random.default_rng(size).choice(len(t), size, replace=False)
+    bundle = BundleRef(t, picks)
+    grid = VoxelGrid(origin=(-3.1, 0.45, 2.2), voxel_size=voxel_size)
+    assert voxelize(bundle, t, grid) == reference_voxelize(bundle, t, grid)
+
+
+def test_blocked_voxelize_far_apart_streamlines_take_the_exact_fallback():
+    # Streamlines ~1e10 mm apart on every axis in one block: ~1e30 linear
+    # codes, past int64, so the block takes np.unique(axis=0).
+    t = mixed_tractogram(71, 6)
+    t = Tractogram([t[0], t[1], build_streamline(t[2].points + 1e10),
+                    build_streamline(t[3].points - 1e10), t[4]])
+    bundle = BundleRef(t, range(len(t)))
+    grid = VoxelGrid(origin=(0.5, -0.5, 0.25))
+    expected = reference_voxelize(bundle, t, grid)
+    extent = [max(v[a] for v in expected) - min(v[a] for v in expected) + 1 for a in range(3)]
+    assert math.prod(extent) > np.iinfo(np.int64).max
+    assert voxelize(bundle, t, grid) == expected
+
+
+def test_add_distinct_is_exact_at_the_int64_extremes():
+    lo, hi = -2 ** 63, 2 ** 63 - 1
+    for rows in ([[lo, 0, 0], [hi, 0, 0], [lo, 0, 0], [0, hi, lo]],  # codes overflow
+                 [[lo, 7, -1], [lo + 5, 7, -1], [lo, 7, -1]],  # codes fit
+                 [[hi, hi, hi], [hi, hi, hi]]):
+        voxels = {(1, 2, 3)}
+        segmentation._add_distinct(voxels, np.array(rows, dtype=np.int64))
+        assert voxels == {(1, 2, 3)} | {tuple(r) for r in rows}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lines, voxel_size, message", [
+    # floor(±1e30 / 1.25) is no int64; a cast wraps both to -2**63.
+    ([[[1e30, 0, 0], [1e30, 1, 0]], [[-1e30, 0, 0], [-1e30, 1, 0]]], 1.25,
+     "streamline 0 reaches a voxel index outside int64"),
+    # 1e300 / 1e-290 overflows to inf.
+    ([[[1e300, 0, 0], [1e300, 1e-300, 0]]], 1e-290,
+     "streamline 0 reaches a voxel index outside int64"),
+    # 1 mm / (1e-320 / 2) overflows to inf samples.
+    ([[[0, 0, 0], [1, 0, 0]]], 1e-320, "streamline 0 .* needs more than"),
+])
+def test_voxelize_rejects_out_of_range_walks_without_a_warning(lines, voxel_size, message):
+    t = Tractogram([build_streamline(line) for line in lines])
+    with pytest.raises(InvalidSpec, match=message):
+        voxelize(BundleRef(t, range(len(t))), t, VoxelGrid(voxel_size=voxel_size))
+
+
+@pytest.mark.parametrize("far, long, cut", [
+    (3, 9, None),              # int64 overflow first
+    (9, 3, None),              # too many samples first
+    (ROWS + 2, 5, None),       # the first bad one is in the first block
+    (5, ROWS + 2, None),
+    (ROWS + 3, ROWS + 1, None),
+    (None, ROWS + 1, ROWS + 3),  # a walk too long, then indices past the end
+    (None, None, ROWS + 3),    # only indices past the end
+    (ROWS + 4, None, ROWS + 3),
+])
+def test_voxelize_reports_the_first_bad_streamline_in_bundle_order(monkeypatch, far, long, cut):
+    monkeypatch.setattr(segmentation, "MAX_VOXEL_SAMPLES", 100)
+    rng = np.random.default_rng(72)
+    lines = [random_streamline(rng, scale=5.0) for _ in range(ROWS + 6)]
+    if far is not None:
+        lines[far] = build_streamline([[1e30, 0.0, 0.0], [1e30, 1.0, 0.0]])
+    if long is not None:
+        lines[long] = build_streamline([[0.0, 0.0, 0.0], [200.0, 0.0, 0.0]])
+    full = Tractogram(lines)
+    bundle = BundleRef(full, range(len(full)))
+    t = Tractogram(lines[:cut]) if cut else full
+    with pytest.raises((InvalidSpec, IndexOutOfRange)) as want:
+        reference_voxelize(bundle, t, VoxelGrid())
+    with pytest.raises(type(want.value)) as got:
+        voxelize(bundle, t, VoxelGrid())
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
