@@ -44,7 +44,12 @@ from .bench import (
     timing_csv,
 )
 from .distances import DEFAULT_SIGMA, DistanceKind, default_kinds, distance_matrix, parse_kind, pdm
-from .embedding import DEFAULT_PROTOTYPE_COUNT, embed_tractogram, select_prototypes_sff
+from .embedding import (
+    DEFAULT_PROTOTYPE_COUNT,
+    DEFAULT_SUBSET_CAP,
+    embed_tractogram,
+    select_prototypes_sff,
+)
 from .errors import DataError, IndexOutOfRange, InvalidSpec, TractodistError
 from .io import (
     read_bundle,
@@ -136,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                              f"or the TRGX header)")
     parser.add_argument("--sff-subset", type=_positive_int, default=None,
                         help="candidate subset size for prototype selection "
-                             "(default: min(N, 2000))")
+                             f"(default: min(N, {DEFAULT_SUBSET_CAP}))")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic subject")
@@ -233,7 +238,7 @@ def cmd_synth(args) -> int:
                 streamline_count=int(b["streamline_count"]),
                 radial_jitter_sigma=float(b["radial_jitter_sigma"]),
                 points_range=tuple(b.get("points_range", (30, 60))),
-                rng_seed=int(b.get("rng_seed", 0)),
+                rng_seed=b.get("rng_seed", 0),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidSpec(f"bundle {name!r}: {exc}") from exc

@@ -136,11 +136,11 @@ def d_lc(s_a: Streamline, s_b: Streamline) -> float:
     return max(_closest_means(s_a.points, s_b.points))
 
 
-# Point pairs per closest-point run. A row meets its columns in runs of
-# whole streamlines with at most this many squared distances to the row's
-# points (a longer streamline is a run by itself), one cdist call per run
-# into one reused 256 KB buffer.
-_CLOSEST_RUN = 32768
+# The batch engine's one work budget, in point pairs per numpy call: an
+# mc/sc/lc run of whole column streamlines fills one reused 256 KB cdist
+# buffer, and an mdf block of whole rows, or of aligned pairs, keeps each
+# _mdf_core temporary under 1 MB (a wider row or streamline is one call).
+_RUN_POINT_PAIRS = 32768
 
 
 def _flat_points(streamlines: list[Streamline]):
@@ -167,7 +167,7 @@ def _closest_row(pick, pa: np.ndarray, flat, offsets, lens, j0: int) -> np.ndarr
     """
     n = len(pa)
     ends = offsets + lens
-    run_points = _CLOSEST_RUN // n
+    run_points = _RUN_POINT_PAIRS // n
     buf = np.empty(n * run_points)
     out = np.empty(len(offsets) - j0)
     lo = j0
@@ -213,10 +213,6 @@ def d_mdf(s_a: Streamline, s_b: Streamline, m: int) -> float:
     return float(_mdf_core(resample(s_a, m).points, resample(s_b, m).points))
 
 
-# Pairs per _mdf_core call in mdf_min_direct_flipped.
-_MDF_CHUNK = 8192
-
-
 def mdf_min_direct_flipped(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batch mdf core on aligned stacks of already-resampled streamlines.
 
@@ -224,10 +220,10 @@ def mdf_min_direct_flipped(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     min(direct, flipped) without any resampling.
     """
     n = len(a)
+    step = max(1, _RUN_POINT_PAIRS // max(1, a.shape[1]))
     out = np.empty(n)
-    for lo in range(0, n, _MDF_CHUNK):
-        hi = min(lo + _MDF_CHUNK, n)
-        out[lo:hi] = _mdf_core(a[lo:hi], b[lo:hi])
+    for lo in range(0, n, step):
+        out[lo:lo + step] = _mdf_core(a[lo:lo + step], b[lo:lo + step])
     return out
 
 
@@ -349,10 +345,11 @@ def distance_matrix(
     evaluated and mirrored; all kinds here are symmetric by construction.
     Per-streamline quantities (resampled points, kernel self-products,
     segment descriptors) are computed once and reused, which matches
-    per-pair evaluation to within accumulation rounding; a rectangular mdf
-    matrix equals the per-pair d_mdf bit for bit. mc, sc and lc meet a
-    row's columns in runs of whole streamlines, each entry computed the
-    same way whatever run it falls in.
+    per-pair evaluation to within accumulation rounding. mdf takes blocks
+    of whole rows, one _mdf_core call per block of at most _RUN_POINT_PAIRS
+    resampled point pairs; a rectangular mdf matrix equals the per-pair
+    d_mdf bit for bit. mc, sc and lc meet a row's columns in runs of whole
+    streamlines, each entry computed the same way whatever run it falls in.
     """
     symmetric = cols is None or cols is rows
     rows = list(rows)
@@ -363,18 +360,19 @@ def distance_matrix(
     # mc/sc/lc read each row's own points, never rs: only columns are flattened.
     rs = cs if symmetric or closest else _prepare(kind, rows)
     out = np.empty((len(rows), len(cols)))
-    if tag == "mdf" and not symmetric and len(cols) < len(rows):
-        # A rectangular mdf matrix loops over its shorter side; the rows stay
-        # the first argument of _mdf_core, so every entry is the per-pair value.
-        for j in range(len(cols)):
-            out[:, j] = _mdf_core(rs, cs[j])
+    if tag == "mdf":
+        # The rows stay _mdf_core's first argument, so each entry is the
+        # per-pair value; the mirror below overwrites what a symmetric block
+        # computes below the diagonal.
+        k = max(1, _RUN_POINT_PAIRS // max(1, len(cols) * rs.shape[1]))
+        for i in range(0, len(rows), k):
+            j0 = i if symmetric else 0
+            out[i:i + k, j0:] = _mdf_core(rs[i:i + k, None], cs[None, j0:])
     else:
         inner = _gauss_mean if tag == "pdm" else _var_inner
         for i in range(len(rows)):
             j0 = i if symmetric else 0
-            if tag == "mdf":
-                out[i, j0:] = _mdf_core(rs[i], cs[j0:])
-            elif closest:
+            if closest:
                 out[i, j0:] = _closest_row(_SYMMETRIZE[tag], rows[i].points, *cs, j0)
             else:
                 a = rs[i]

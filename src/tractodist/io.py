@@ -53,7 +53,6 @@ from .segmentation import DEFAULT_VOXEL_SIZE
 
 TRGX_MAGIC = b"TRGX\x00\x00\x00\x01"
 EMBD_MAGIC = b"EMBD\x00\x00\x00\x01"
-TRGX_HEADER_BYTES = len(TRGX_MAGIC) + 4 + 12  # magic + voxel_size + origin
 
 
 @dataclass(frozen=True)

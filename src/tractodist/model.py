@@ -236,11 +236,11 @@ def _check_resample_count(m) -> int:
     return int(m)
 
 
-# Streamlines resampled per padded array. Resampling 10k streamlines takes
-# the same time with blocks of 32 to 256, but the transient arrays of a
-# 256 block raised the peak RSS of the benchmark's paper200 workload by
-# 1.2 MB (1.6%); blocks of 64 keep it flat.
-_RESAMPLE_BLOCK = 64
+# Streamlines per _pad_polylines call, in resample_stack and voxelize.
+# Resampling 10k streamlines takes the same time with blocks of 32 to 256,
+# but the transient arrays of a 256 block raised the peak RSS of the
+# benchmark's paper200 workload by 1.2 MB (1.6%); blocks of 64 keep it flat.
+_PAD_ROWS = 64
 
 
 def resample_stack(streamlines: Sequence[Streamline], m: int) -> np.ndarray:
@@ -253,8 +253,8 @@ def resample_stack(streamlines: Sequence[Streamline], m: int) -> np.ndarray:
     m = _check_resample_count(m)
     pts = [s.points for s in streamlines]
     out = np.empty((len(pts), m, 3))
-    for lo in range(0, len(pts), _RESAMPLE_BLOCK):
-        points, last = _pad_polylines(pts[lo:lo + _RESAMPLE_BLOCK])
+    for lo in range(0, len(pts), _PAD_ROWS):
+        points, last = _pad_polylines(pts[lo:lo + _PAD_ROWS])
         out[lo:lo + len(last)] = _resample_padded(points, last, m)
     return out
 

@@ -24,7 +24,7 @@ from .embedding import (
     select_prototypes_sff,
 )
 from .errors import BothEmpty, EmptyExampleBundle, IndexOutOfRange, InvalidSpec, KindMismatch
-from .model import BundleRef, Tractogram, _interpolate, _pad_polylines, arc_lengths
+from .model import _PAD_ROWS, BundleRef, Tractogram, _interpolate, _pad_polylines, arc_lengths
 
 VoxelSet = set  # of (i, j, k) integer tuples
 
@@ -34,13 +34,12 @@ DEFAULT_VOXEL_SIZE = 1.25  # mm
 # voxel size peaks at ~250 MB); a longer walk is rejected before allocation.
 MAX_VOXEL_SAMPLES = 2 ** 20
 
-# voxelize takes the arc lengths of this many streamlines in one padded
+# voxelize takes the arc lengths of _PAD_ROWS streamlines in one padded
 # array, then walks them in blocks of at most _VOXEL_BLOCK_SAMPLES padded
 # samples (a longer streamline is a block by itself). The cap counts
 # samples, not streamlines, so the walk's transient arrays stay near 1 MB
 # whatever the lengths: blocks of 64 streamlines (~17k samples) raised the
 # benchmark's paper200 peak RSS by 1.6 MB, blocks of 8192 samples by 0.4.
-_VOXEL_ROWS = 64
 _VOXEL_BLOCK_SAMPLES = 8192
 _INT64_BOUND = 2.0 ** 63  # int64 holds exactly the integral floats in [-bound, bound)
 
@@ -181,8 +180,8 @@ def voxelize(bundle: BundleRef, tractogram: Tractogram, grid: VoxelGrid) -> Voxe
     n = len(tractogram)
     indices = bundle.indices
     valid = bisect_left(indices, n)  # indices are sorted
-    for lo in range(0, valid, _VOXEL_ROWS):
-        ids = indices[lo:min(lo + _VOXEL_ROWS, valid)]
+    for lo in range(0, valid, _PAD_ROWS):
+        ids = indices[lo:min(lo + _PAD_ROWS, valid)]
         points, last = _pad_polylines([tractogram[i].points for i in ids])
         cum = arc_lengths(points)
         with np.errstate(over="ignore"):

@@ -18,6 +18,18 @@ from .model import BundleRef, Streamline, Tractogram, build_streamline, resample
 
 CENTERLINE_SAMPLES = 128
 NOISE_CURVE_SAMPLES = 64
+MAX_POINT_COUNT = 2 ** 32 - 1  # TRGX stores a streamline's point count as uint32
+
+
+def _whole(value, what: str) -> int:
+    """value as an int if it is a whole number, else InvalidSpec."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise InvalidSpec(f"{what} must be a whole number, got {value!r}")
+    return whole
 
 
 @dataclass(frozen=True)
@@ -42,9 +54,19 @@ class BundleSpec:
             raise InvalidSpec(f"streamline_count must be >= 1, got {self.streamline_count}")
         if self.radial_jitter_sigma < 0:
             raise InvalidSpec(f"radial_jitter_sigma must be >= 0, got {self.radial_jitter_sigma}")
-        lo, hi = self.points_range
-        if lo < 2 or hi < lo:
-            raise InvalidSpec(f"points_range must satisfy 2 <= lo <= hi, got {self.points_range}")
+        try:
+            lo, hi = (_whole(v, "points_range") for v in self.points_range)
+        except (TypeError, ValueError):
+            raise InvalidSpec(f"points_range must be [lo, hi], got {self.points_range!r}") from None
+        if not 2 <= lo <= hi <= MAX_POINT_COUNT:
+            raise InvalidSpec(f"points_range must satisfy 2 <= lo <= hi <= {MAX_POINT_COUNT}, "
+                              f"got {self.points_range}")
+        seed = _whole(self.rng_seed, "rng_seed")
+        if seed < 0:
+            raise InvalidSpec(f"rng_seed must be >= 0, got {seed}")
+        # Frozen: store the validated ints that generate_subject hands to numpy.
+        object.__setattr__(self, "points_range", (lo, hi))
+        object.__setattr__(self, "rng_seed", seed)
         _ = evaluate_centerline(self.centerline, 4)  # validate eagerly
 
 

@@ -151,6 +151,11 @@ def _spec_with(path, value):
     ("noise_streamlines", float("inf")),
     ("a.streamline_count", float("inf")),
     ("a.rng_seed", float("inf")),
+    ("a.rng_seed", -1),
+    ("a.rng_seed", 1.5),
+    ("a.points_range", [3, 1e30]),
+    ("a.points_range", [3, 2 ** 32]),
+    ("a.points_range", [3, 7.5]),
 ])
 def test_synth_bad_numbers_exit_3(tmp_path, capsys, path, value):
     spec = tmp_path / "spec.json"

@@ -1,8 +1,8 @@
 """Seeded mutation fuzz of the CLI's input files.
 
-Every subcommand that reads TRGX, EMBD, bundle or result JSON is run on
-damaged copies of valid inputs. Whatever the damage, main must return 0, 3
-or 4 and print no traceback.
+Every subcommand that reads TRGX, EMBD, bundle, result or synth spec JSON
+is run on damaged copies of valid inputs. Whatever the damage, main must
+return 0, 3 or 4 and print no traceback.
 """
 
 import json
@@ -137,6 +137,41 @@ def test_seeded_cli_fuzz(tmp_path, capsys, inputs):
         code, _ = run_cli(capsys, argv, f"case {case}, {command}, damaged {role}")
         codes[code] += 1
     # The damage reaches past the readers: some runs still succeed, most fail.
+    assert codes[0] > 0 and codes[3] > 0
+
+
+# synth's spec values. Unlike SPECIAL_JSON, no large positive number: as a
+# streamline or point count it is a valid spec that generates that many.
+SYNTH_JSON = [-1, 0, -1e30, 1.5, float("nan"), True, None, "x", [], {}, [[0]], [3, 1e30]]
+
+
+def mutate_spec(rng, doc: dict) -> bytes:
+    """One field of the spec, of a bundle or of a centerline replaced (half
+    the cases) or deleted, or the text damaged."""
+    doc = json.loads(json.dumps(doc))
+    owners = [doc, *doc["bundles"].values(), *(b["centerline"] for b in doc["bundles"].values())]
+    fields = [(owner, key) for owner in owners for key in owner]
+    owner, key = fields[rng.integers(len(fields))]
+    op = rng.integers(4)
+    if op < 2:
+        owner[key] = SYNTH_JSON[rng.integers(len(SYNTH_JSON))]
+    elif op == 2:
+        del owner[key]
+    else:
+        return mutate_bytes(rng, json.dumps(doc).encode(), 4)
+    return json.dumps(doc).encode()
+
+
+def test_seeded_synth_fuzz(tmp_path, capsys):
+    rng = np.random.default_rng(20172)
+    doc = {**SPEC, "displacement_sigma": 1.0}
+    codes = {0: 0, 3: 0, 4: 0}
+    for case in range(600):
+        spec = tmp_path / f"case{case}.json"
+        spec.write_bytes(mutate_spec(rng, doc))
+        code, _ = run_cli(capsys, ["synth", str(spec), "--out", str(tmp_path / "s")],
+                          f"case {case}, synth")
+        codes[code] += 1
     assert codes[0] > 0 and codes[3] > 0
 
 

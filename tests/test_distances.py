@@ -398,7 +398,7 @@ def closest_case():
 @pytest.mark.parametrize("kind", CLOSEST, ids=str)
 def test_closest_runs_match_oracle(closest_case, kind, run, monkeypatch):
     if run is not None:
-        monkeypatch.setattr("tractodist.distances._CLOSEST_RUN", run)
+        monkeypatch.setattr("tractodist.distances._RUN_POINT_PAIRS", run)
     rows, cols, means = closest_case
     got = distance_matrix(kind, rows, cols)
     assert got.shape == (len(rows), len(cols))
@@ -445,7 +445,7 @@ def test_closest_entries_do_not_depend_on_the_call(kind, run, monkeypatch):
     """One row alone, the symmetric upper triangle and the rectangular
     matrix give the same bits, whichever run an entry falls in."""
     if run is not None:
-        monkeypatch.setattr("tractodist.distances._CLOSEST_RUN", run)
+        monkeypatch.setattr("tractodist.distances._RUN_POINT_PAIRS", run)
     rows, cols = closest_fixture()
     streams = rows + cols
     full = distance_matrix(kind, rows, cols)
@@ -454,6 +454,43 @@ def test_closest_entries_do_not_depend_on_the_call(kind, run, monkeypatch):
     sym = distance_matrix(kind, streams)
     upper = np.triu_indices(len(streams))
     assert np.array_equal(sym[upper], distance_matrix(kind, streams, list(streams))[upper])
+
+
+# ---------------------------------------------------------------------------
+# The mdf row-block loop
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("budget", ["default", "one", "split"])
+@pytest.mark.parametrize("m", [3, 12, 20])
+def test_mdf_row_blocks_give_the_per_pair_bits(m, budget, monkeypatch):
+    """Blocks of one row, blocks that split the matrix with a short last
+    block, and the default budget all give d_mdf's bits, an exactly
+    symmetric matrix and the rows of one-row calls."""
+    rng = np.random.default_rng(41)
+    rows = [random_streamline(rng) for _ in range(11)]
+    cols = [random_streamline(rng) for _ in range(7)]
+    streams = rows + cols
+    # "split": 4 rows per symmetric block (4+4+4+4+2), 10 per rectangular (10+1).
+    size = {"one": 1, "split": 4 * len(streams) * m}.get(budget)
+    if size is not None:
+        monkeypatch.setattr("tractodist.distances._RUN_POINT_PAIRS", size)
+    kind = mdf(m)
+    rect = distance_matrix(kind, rows, cols)
+    for i, a in enumerate(rows):
+        assert [rect[i, j] for j in range(len(cols))] == [d_mdf(a, b, m) for b in cols]
+        assert np.array_equal(distance_matrix(kind, rows[i:i + 1], cols)[0], rect[i])
+    sym = distance_matrix(kind, streams)
+    assert np.array_equal(sym, sym.T)
+    upper = np.triu_indices(len(streams))
+    assert np.array_equal(sym[upper], distance_matrix(kind, streams, list(streams))[upper])
+    stack = resample_stack(streams, m)
+    ii, jj = rng.integers(0, len(streams), (2, 40))
+    assert list(mdf_min_direct_flipped(stack[ii], stack[jj])) == \
+        [d_mdf(streams[i], streams[j], m) for i, j in zip(ii, jj)]
+    assert distance_matrix(kind, [], cols).shape == (0, len(cols))
+    assert distance_matrix(kind, rows, []).shape == (len(rows), 0)
+    assert distance_matrix(kind, []).shape == (0, 0)
+    assert mdf_min_direct_flipped(stack[:0], stack[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("kind", default_kinds(), ids=str)

@@ -16,6 +16,7 @@ from tractodist.errors import (
     KindMismatch,
 )
 from tractodist.model import (
+    _PAD_ROWS,
     BundleRef,
     Tractogram,
     arc_lengths,
@@ -309,7 +310,7 @@ def mixed_tractogram(seed, n):
                        for _ in range(n)])
 
 
-ROWS = segmentation._VOXEL_ROWS
+ROWS = _PAD_ROWS
 
 
 @pytest.mark.parametrize("size", [0, 1, ROWS - 1, ROWS, ROWS + 1])

@@ -90,6 +90,21 @@ def test_bundle_spec_validates():
         arc_spec(points_range=(10, 5))
     with pytest.raises(InvalidSpec):
         BundleSpec({"type": "blob"}, streamline_count=3, radial_jitter_sigma=1.0)
+    # Seeds and point counts that numpy's generator or TRGX cannot take.
+    for kw in ({"rng_seed": -1}, {"rng_seed": 1.5}, {"rng_seed": "3"}, {"rng_seed": None},
+               {"points_range": (3, 1e30)}, {"points_range": (3, 2 ** 32)},
+               {"points_range": (3.5, 8)}, {"points_range": (3, 4, 5)}, {"points_range": 7}):
+        with pytest.raises(InvalidSpec):
+            arc_spec(**kw)
+
+
+def test_bundle_spec_whole_floats_generate_as_ints():
+    as_float = arc_spec(points_range=(10.0, 2.0 ** 32 - 1), rng_seed=3.0)
+    assert as_float.points_range == (10, 2 ** 32 - 1) and as_float.rng_seed == 3
+    a = generate_subject({"a": arc_spec(points_range=(10.0, 20.0), rng_seed=3.0)})
+    b = generate_subject({"a": arc_spec(points_range=(10, 20), rng_seed=3)})
+    for s, t in zip(a.tractogram, b.tractogram):
+        assert np.array_equal(s.points, t.points)
 
 
 # ---------------------------------------------------------------------------
