@@ -235,7 +235,7 @@ def cmd_synth(args) -> int:
         try:
             specs[name] = BundleSpec(
                 centerline=b["centerline"],
-                streamline_count=int(b["streamline_count"]),
+                streamline_count=b["streamline_count"],
                 radial_jitter_sigma=float(b["radial_jitter_sigma"]),
                 points_range=tuple(b.get("points_range", (30, 60))),
                 rng_seed=b.get("rng_seed", 0),
@@ -243,11 +243,10 @@ def cmd_synth(args) -> int:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidSpec(f"bundle {name!r}: {exc}") from exc
     try:
-        noise = int(doc.get("noise_streamlines", 0))
         displacement = float(doc.get("displacement_sigma", 0.0))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"{args.spec}: {exc}") from exc
-    subject = generate_subject(specs, noise, global_seed=args.seed)
+    subject = generate_subject(specs, doc.get("noise_streamlines", 0), global_seed=args.seed)
     if displacement > 0:
         subject = perturb_subject(subject, displacement, seed=args.seed)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .model import Streamline, resample, resample_stack
+from .model import Streamline, Tractogram, resample, resample_stack
 
 DEFAULT_SIGMA = 42.0
 DEFAULT_MDF_POINTS = (12, 20, 32)
@@ -143,19 +143,8 @@ def d_lc(s_a: Streamline, s_b: Streamline) -> float:
 _RUN_POINT_PAIRS = 32768
 
 
-def _flat_points(streamlines: list[Streamline]):
-    """All points in one (P, 3) array, plus each streamline's offset and
-    point count (the ArraySequence layout)."""
-    lens = np.array([len(s.points) for s in streamlines], dtype=np.int64)
-    offsets = np.zeros(len(lens), dtype=np.int64)
-    np.cumsum(lens[:-1], out=offsets[1:])
-    if not streamlines:
-        return np.empty((0, 3)), offsets, lens
-    return np.concatenate([s.points for s in streamlines]), offsets, lens
-
-
-def _closest_row(pick, pa: np.ndarray, flat, offsets, lens, j0: int) -> np.ndarray:
-    """pick(ab, ba) of points pa against flat streamlines j0, j0+1, ...
+def _closest_row(pick, pa: np.ndarray, cols: Tractogram, j0: int) -> np.ndarray:
+    """pick(ab, ba) of points pa against streamlines j0, j0+1, ... of cols.
 
     Per run: the squared distances from every point of pa to every column
     point, then minima per column segment in one direction and per column
@@ -166,20 +155,20 @@ def _closest_row(pick, pa: np.ndarray, flat, offsets, lens, j0: int) -> np.ndarr
     run it falls in.
     """
     n = len(pa)
-    ends = offsets + lens
+    flat, offsets = cols.points, cols.offsets
     run_points = _RUN_POINT_PAIRS // n
     buf = np.empty(n * run_points)
-    out = np.empty(len(offsets) - j0)
+    out = np.empty(len(cols) - j0)
     lo = j0
-    while lo < len(offsets):
+    while lo < len(cols):
         p0 = offsets[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, p0 + run_points, side="right")))
-        size = n * (ends[hi - 1] - p0)
-        sq = cdist(pa, flat[p0:ends[hi - 1]], "sqeuclidean",
+        hi = max(lo + 1, int(np.searchsorted(offsets, p0 + run_points, side="right")) - 1)
+        size = n * (offsets[hi] - p0)
+        sq = cdist(pa, flat[p0:offsets[hi]], "sqeuclidean",
                    out=buf[:size].reshape(n, -1) if size <= len(buf) else None)
         starts = offsets[lo:hi] - p0
         ab = np.sqrt(np.minimum.reduceat(sq, starts, axis=1).T.copy()).sum(axis=1) / n
-        ba = np.add.reduceat(np.sqrt(sq.min(axis=0)), starts) / lens[lo:hi]
+        ba = np.add.reduceat(np.sqrt(sq.min(axis=0)), starts) / np.diff(offsets[lo:hi + 1])
         out[lo - j0:hi - j0] = pick(ab, ba)
         lo = hi
     return out
@@ -316,28 +305,28 @@ def distance(kind: DistanceKind, s_a: Streamline, s_b: Streamline) -> float:
     return d_varifolds(s_a, s_b, kind.param)
 
 
-def _prepare(kind: DistanceKind, streamlines: list[Streamline]):
+def _prepare(kind: DistanceKind, t: Tractogram):
     """Per-streamline state for the batch engine, computed once each.
 
-    mdf: the (n, m, 3) resampled stack. mc/sc/lc: the _flat_points
-    layout. pdm/var: (points or segment descriptors, kernel self-product)
-    pairs.
+    mdf: the (n, m, 3) resampled stack. mc/sc/lc: the tractogram itself,
+    whose flat store the closest-point runs read. pdm/var: (points or
+    segment descriptors, kernel self-product) pairs.
     """
     tag, param = kind.tag, kind.param
     if tag == "mdf":
-        return resample_stack(streamlines, param)
+        return resample_stack(t, param)
     if tag == "pdm":
-        return [(s.points, _gauss_mean(s.points, s.points, param)) for s in streamlines]
+        return [(s.points, _gauss_mean(s.points, s.points, param)) for s in t]
     if tag == "var":
-        segs = [_segment_arrays(s) for s in streamlines]
+        segs = [_segment_arrays(s) for s in t]
         return [(g, _var_inner(g, g, param)) for g in segs]
-    return _flat_points(streamlines)
+    return t
 
 
 def distance_matrix(
     kind: DistanceKind,
-    rows: Sequence[Streamline],
-    cols: Sequence[Streamline] | None = None,
+    rows: Tractogram | Sequence[Streamline],
+    cols: Tractogram | Sequence[Streamline] | None = None,
 ) -> np.ndarray:
     """All pairwise distances between two streamline collections.
 
@@ -349,15 +338,16 @@ def distance_matrix(
     of whole rows, one _mdf_core call per block of at most _RUN_POINT_PAIRS
     resampled point pairs; a rectangular mdf matrix equals the per-pair
     d_mdf bit for bit. mc, sc and lc meet a row's columns in runs of whole
-    streamlines, each entry computed the same way whatever run it falls in.
+    streamlines of the columns' store, each entry computed the same way
+    whatever run it falls in. A list is copied into a Tractogram once.
     """
     symmetric = cols is None or cols is rows
-    rows = list(rows)
-    cols = rows if symmetric else list(cols)
+    rows = Tractogram(rows)
+    cols = rows if symmetric else Tractogram(cols)
     tag, sigma = kind.tag, kind.param
     closest = tag in _SYMMETRIZE
     cs = _prepare(kind, cols)
-    # mc/sc/lc read each row's own points, never rs: only columns are flattened.
+    # mc/sc/lc read each row's own points, never rs.
     rs = cs if symmetric or closest else _prepare(kind, rows)
     out = np.empty((len(rows), len(cols)))
     if tag == "mdf":
@@ -373,7 +363,7 @@ def distance_matrix(
         for i in range(len(rows)):
             j0 = i if symmetric else 0
             if closest:
-                out[i, j0:] = _closest_row(_SYMMETRIZE[tag], rows[i].points, *cs, j0)
+                out[i, j0:] = _closest_row(_SYMMETRIZE[tag], rows[i].points, cs, j0)
             else:
                 a = rs[i]
                 for j in range(j0, len(cols)):

@@ -135,5 +135,5 @@ def embed_tractogram(
     if kind != protos.kind:
         raise KindMismatch(f"embedding kind {kind} != prototype kind {protos.kind}")
     proto_streams = [source[j] for j in protos.indices]
-    vectors = distance_matrix(kind, list(t), proto_streams)
+    vectors = distance_matrix(kind, t, proto_streams)
     return EmbeddedTractogram(vectors, protos, kind)

@@ -48,7 +48,7 @@ from .errors import (
     NonFiniteCoordinate,
     TruncatedFile,
 )
-from .model import BundleRef, Streamline, Tractogram, build_streamline
+from .model import BundleRef, Tractogram, _distinct_mask, build_streamline
 from .segmentation import DEFAULT_VOXEL_SIZE
 
 TRGX_MAGIC = b"TRGX\x00\x00\x00\x01"
@@ -116,17 +116,15 @@ def write_tractogram(
         raise EmptyTractogram("refusing to write a tractogram with zero streamlines")
     with np.errstate(over="ignore"):  # overflow is detected and reported below
         header = np.asarray([voxel_size, *origin], dtype="<f4")
+        pts = t.points.astype("<f4")
     if not np.all(np.isfinite(header)):
         raise NonFiniteCoordinate("voxel_size/origin do not fit in finite float32")
-    chunks = [TRGX_MAGIC, header.tobytes(), struct.pack("<Q", len(t))]
-    for s in t:
-        with np.errstate(over="ignore"):
-            pts = s.points.astype("<f4")
-        if not np.all(np.isfinite(pts)):
-            raise NonFiniteCoordinate("coordinates overflow float32")
-        chunks.append(struct.pack("<I", len(pts)))
-        chunks.append(pts.tobytes())
-    write_atomic(path, b"".join(chunks))
+    if not np.all(np.isfinite(pts)):
+        raise NonFiniteCoordinate("coordinates overflow float32")
+    # Each streamline's uint32 point count goes before its first coordinate.
+    words = np.insert(pts.view("<u4").ravel(), 3 * t.offsets[:-1], np.diff(t.offsets))
+    write_atomic(path, b"".join([TRGX_MAGIC, header.tobytes(), struct.pack("<Q", len(t)),
+                                 words.tobytes()]))
 
 
 def read_tractogram(path) -> TrgxFile:
@@ -134,9 +132,10 @@ def read_tractogram(path) -> TrgxFile:
 
     Decoding takes two passes. The first walks the count words and checks
     each against the bytes present; the second converts, validates and
-    splits the points one block of streamlines at a time. The error raised
-    is the one a streamline-by-streamline read would raise: the first
-    defect in file order wins, and trailing bytes are reported last.
+    collapses the points one block of streamlines at a time, straight into
+    the tractogram's one point array. The error raised is the one a
+    streamline-by-streamline read would raise: the first defect in file
+    order wins, and trailing bytes are reported last.
     """
     data = Path(path).read_bytes()
     cur = _Cursor(data)
@@ -149,13 +148,16 @@ def read_tractogram(path) -> TrgxFile:
     if n_streamlines == 0:
         raise EmptyTractogram(f"{path}: declares zero streamlines")
     offsets, counts, deferred = _walk_counts(path, data, cur.off, n_streamlines)
-    streamlines = []
+    points = np.empty((sum(counts), 3))
+    kept, stop = [], 0
     for b in range(0, len(counts), _BLOCK):
-        streamlines += _decode_block(data, offsets[b:b + _BLOCK], counts[b:b + _BLOCK])
+        kept.append(_decode_block(data, offsets[b:b + _BLOCK], counts[b:b + _BLOCK],
+                                  points[stop:]))
+        stop += int(kept[-1].sum())
     if deferred is not None:
         raise deferred
     return TrgxFile(
-        tractogram=Tractogram(streamlines),
+        tractogram=Tractogram._from_counts(points[:stop], np.concatenate(kept)),
         voxel_size=float(header[0]),
         origin=(float(header[1]), float(header[2]), float(header[3])),
     )
@@ -198,30 +200,28 @@ def _walk_counts(path, data: bytes, off: int, n_streamlines: int):
     return offsets, counts, None
 
 
-def _decode_block(data: bytes, offsets: list, counts: list) -> list:
-    """Pass 2 on consecutive streamlines: one read-only view of the block each.
+def _decode_block(data: bytes, offsets: list, counts: list, out: np.ndarray) -> np.ndarray:
+    """Pass 2 on consecutive streamlines: their kept points go to the front
+    of out, and their kept point counts are returned.
 
     Checks finiteness and collapses consecutive duplicate points for the
-    whole block at once, never across a streamline boundary, with the same
-    comparisons as Streamline construction.
+    whole block at once, never across a streamline boundary, with the rule
+    of Streamline construction.
     """
     base = offsets[0]
     n_words = (offsets[-1] + 4 + 12 * counts[-1] - base) // 4
     words = np.frombuffer(data, dtype="<f4", count=n_words, offset=base)
+    at = (np.asarray(offsets) - base) // 4  # the count words
     is_point = np.ones(n_words, dtype=bool)
-    is_point[(np.asarray(offsets) - base) // 4] = False  # the count words
+    is_point[at] = False
+    first = (at - np.arange(len(at))) // 3  # each streamline's first point
+    pts = out[:(n_words - len(at)) // 3]
     with np.errstate(invalid="ignore"):  # signaling NaNs rejected just below
-        pts = words[is_point].astype(np.float64).reshape(-1, 3)
-    counts = np.asarray(counts)
-    first = np.cumsum(counts) - counts
+        pts.reshape(-1)[:] = words[is_point]
     # Per-coordinate flags reduced by flat index: numpy's reductions over a
     # length-3 axis are several times slower than these.
     finite = np.logical_and.reduceat(np.isfinite(pts).ravel(), 3 * first)
-    moved = pts[1:] != pts[:-1]
-    keep = np.empty(len(pts), dtype=bool)
-    np.logical_or(moved[:, 0], moved[:, 1], out=keep[1:])
-    keep[1:] |= moved[:, 2]
-    keep[first] = True
+    keep = _distinct_mask(pts, first)
     kept = np.add.reduceat(keep, first, dtype=np.intp)
     bad = ~finite | (kept < 2)
     if bad.any():
@@ -230,9 +230,8 @@ def _decode_block(data: bytes, offsets: list, counts: list) -> list:
         k = int(np.argmax(bad))
         build_streamline(pts[first[k]:first[k] + counts[k]])
     if not keep.all():
-        pts = pts[keep]
-    stops = np.cumsum(kept).tolist()
-    return [Streamline._from_valid(pts[a:b]) for a, b in zip([0, *stops[:-1]], stops)]
+        out[:int(kept.sum())] = pts[keep]
+    return kept
 
 
 # ---------------------------------------------------------------------------

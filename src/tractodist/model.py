@@ -8,6 +8,7 @@ length; all other modules rely on that guarantee.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ class Streamline:
         pts = _as_points(points)
         if not np.isfinite(pts).all():
             raise NonFiniteCoordinate("streamline contains NaN or Inf coordinates")
-        pts = _collapse_consecutive_duplicates(pts)
+        pts = pts[_distinct_mask(pts, slice(0, 1))]
         if len(pts) < 2:
             raise FewerThanTwoDistinctPoints(
                 f"streamline needs >= 2 distinct points, got {len(pts)}"
@@ -44,8 +45,8 @@ class Streamline:
     @classmethod
     def _from_valid(cls, pts: np.ndarray) -> "Streamline":
         # Fast path for internally produced arrays (resample, flip) and for
-        # points the TRGX reader validated and collapsed in bulk: skips
-        # validation and duplicate collapse so point counts are preserved.
+        # views of a Tractogram's store, validated and collapsed when it was
+        # built: skips validation and duplicate collapse, keeping point counts.
         s = object.__new__(cls)
         pts.flags.writeable = False
         s._points = pts
@@ -73,32 +74,61 @@ class Streamline:
 
 
 class Tractogram:
-    """An indexed, immutable collection of streamlines.
+    """An indexed, immutable collection of streamlines, stored flat.
 
-    Index i is a stable identifier for streamline i for the lifetime of
-    the object.
+    Streamline i is points[offsets[i]:offsets[i + 1]] of one read-only
+    (P, 3) float64 array of all points and read-only (N + 1,) int64
+    offsets; t[i] is a Streamline viewing that slice, so it keeps the
+    whole store alive, and Tractogram(t) shares t's store. Index i names
+    streamline i for the object's life.
     """
 
-    __slots__ = ("_streamlines",)
+    __slots__ = ("_points", "_offsets")
 
     def __init__(self, streamlines: Iterable[Streamline]):
-        sls = tuple(streamlines)
-        for s in sls:
-            if not isinstance(s, Streamline):
-                raise TypeError(f"expected Streamline, got {type(s).__name__}")
-        self._streamlines = sls
+        t = streamlines
+        if not isinstance(t, Tractogram):
+            sls = tuple(streamlines)
+            for s in sls:
+                if not isinstance(s, Streamline):
+                    raise TypeError(f"expected Streamline, got {type(s).__name__}")
+            # The empty block gives Tractogram([]) its (0, 3) float64 store.
+            points = np.concatenate([np.empty((0, 3)), *(s.points for s in sls)])
+            t = Tractogram._from_counts(points, [len(s) for s in sls])
+        self._points, self._offsets = t.points, t.offsets
+
+    @classmethod
+    def _from_counts(cls, points: np.ndarray, counts) -> "Tractogram":
+        """Over valid streamlines stored back to back, counts[i] points for streamline i."""
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        points.flags.writeable = offsets.flags.writeable = False
+        t = object.__new__(cls)
+        t._points, t._offsets = points, offsets
+        return t
+
+    @property
+    def points(self) -> np.ndarray:
+        """Read-only (P, 3) float64 array of every streamline's points."""
+        return self._points
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Read-only (N + 1,) int64 array: streamline i is points[offsets[i]:offsets[i + 1]]."""
+        return self._offsets
 
     def __len__(self) -> int:
-        return len(self._streamlines)
+        return len(self._offsets) - 1
 
-    def __getitem__(self, i: int) -> Streamline:
-        return self._streamlines[i]
-
-    def __iter__(self):
-        return iter(self._streamlines)
+    def __getitem__(self, i) -> Streamline:
+        n, i = len(self), operator.index(i)
+        if not -n <= i < n:
+            raise IndexError(f"streamline index {i} out of range for {n} streamlines")
+        i %= n
+        return Streamline._from_valid(self._points[self._offsets[i]:self._offsets[i + 1]])
 
     def __repr__(self) -> str:
-        return f"Tractogram({len(self._streamlines)} streamlines)"
+        return f"Tractogram({len(self)} streamlines)"
 
 
 class BundleRef:
@@ -212,13 +242,13 @@ def points_at_arc_lengths(points: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return _interpolate(points[None], arc_lengths(points)[None], last, ts[None])[0]
 
 
-def _pad_polylines(polylines: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack polylines as _interpolate takes them: (b, n, 3), each padded to
-    the longest by repeating its last vertex, plus each one's last index."""
-    counts = np.array([len(p) for p in polylines])
-    first = np.cumsum(counts) - counts
+def _pad_polylines(t: Tractogram, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Streamlines ids of t as _interpolate takes them: (b, n, 3), each padded
+    to the longest by repeating its last vertex, plus each one's last index."""
+    first = t.offsets[ids]
+    counts = t.offsets[ids + 1] - first
     take = first[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)
-    return np.concatenate(polylines)[take], counts - 1
+    return t.points[take], counts - 1
 
 
 def _resample_padded(points: np.ndarray, last: np.ndarray, m: int) -> np.ndarray:
@@ -243,7 +273,7 @@ def _check_resample_count(m) -> int:
 _PAD_ROWS = 64
 
 
-def resample_stack(streamlines: Sequence[Streamline], m: int) -> np.ndarray:
+def resample_stack(streamlines: Tractogram | Sequence[Streamline], m: int) -> np.ndarray:
     """Resample each streamline as resample() does; stack into (n, m, 3).
 
     Works a block of streamlines at a time: each block is padded to its
@@ -251,10 +281,10 @@ def resample_stack(streamlines: Sequence[Streamline], m: int) -> np.ndarray:
     interpolated at once.
     """
     m = _check_resample_count(m)
-    pts = [s.points for s in streamlines]
-    out = np.empty((len(pts), m, 3))
-    for lo in range(0, len(pts), _PAD_ROWS):
-        points, last = _pad_polylines(pts[lo:lo + _PAD_ROWS])
+    t = Tractogram(streamlines)
+    out = np.empty((len(t), m, 3))
+    for lo in range(0, len(t), _PAD_ROWS):
+        points, last = _pad_polylines(t, np.arange(lo, min(lo + _PAD_ROWS, len(t))))
         out[lo:lo + len(last)] = _resample_padded(points, last, m)
     return out
 
@@ -280,11 +310,6 @@ def flip(s: Streamline) -> Streamline:
     return Streamline._from_valid(np.ascontiguousarray(s.points[::-1]))
 
 
-def streamline_length(s: Streamline) -> float:
-    """Total arc length of the polyline, in millimeters."""
-    return float(arc_lengths(s.points)[-1])
-
-
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
@@ -303,12 +328,13 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _collapse_consecutive_duplicates(pts: np.ndarray) -> np.ndarray:
-    if len(pts) == 0:
-        return pts
+def _distinct_mask(pts: np.ndarray, starts) -> np.ndarray:
+    """The duplicate-collapse rule on polylines stored back to back: True at
+    each polyline start (starts indexes pts) and at each point unlike the last."""
+    # Per axis: numpy's reductions over a length-3 axis are several times slower.
+    moved = pts[1:] != pts[:-1]
     keep = np.empty(len(pts), dtype=bool)
-    keep[0] = True
-    keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
-    if keep.all():
-        return pts
-    return pts[keep]
+    np.logical_or(moved[:, 0], moved[:, 1], out=keep[1:])
+    keep[1:] |= moved[:, 2]
+    keep[starts] = True
+    return keep

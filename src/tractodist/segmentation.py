@@ -182,7 +182,7 @@ def voxelize(bundle: BundleRef, tractogram: Tractogram, grid: VoxelGrid) -> Voxe
     valid = bisect_left(indices, n)  # indices are sorted
     for lo in range(0, valid, _PAD_ROWS):
         ids = indices[lo:min(lo + _PAD_ROWS, valid)]
-        points, last = _pad_polylines([tractogram[i].points for i in ids])
+        points, last = _pad_polylines(tractogram, np.array(ids))
         cum = arc_lengths(points)
         with np.errstate(over="ignore"):
             ratio = cum[:, -1] / step

@@ -19,6 +19,9 @@ from .model import BundleRef, Streamline, Tractogram, build_streamline, resample
 CENTERLINE_SAMPLES = 128
 NOISE_CURVE_SAMPLES = 64
 MAX_POINT_COUNT = 2 ** 32 - 1  # TRGX stores a streamline's point count as uint32
+# Most points generate_subject may have to build: 2^25 float64 points take
+# 0.8 GB. The benchmark's 10,000-streamline subject needs at most ~1M.
+MAX_TOTAL_POINTS = 2 ** 25
 
 
 def _whole(value, what: str) -> int:
@@ -50,8 +53,9 @@ class BundleSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.streamline_count < 1:
-            raise InvalidSpec(f"streamline_count must be >= 1, got {self.streamline_count}")
+        count = _whole(self.streamline_count, "streamline_count")
+        if count < 1:
+            raise InvalidSpec(f"streamline_count must be >= 1, got {count}")
         if self.radial_jitter_sigma < 0:
             raise InvalidSpec(f"radial_jitter_sigma must be >= 0, got {self.radial_jitter_sigma}")
         try:
@@ -65,6 +69,7 @@ class BundleSpec:
         if seed < 0:
             raise InvalidSpec(f"rng_seed must be >= 0, got {seed}")
         # Frozen: store the validated ints that generate_subject hands to numpy.
+        object.__setattr__(self, "streamline_count", count)
         object.__setattr__(self, "points_range", (lo, hi))
         object.__setattr__(self, "rng_seed", seed)
         _ = evaluate_centerline(self.centerline, 4)  # validate eagerly
@@ -142,12 +147,19 @@ def generate_subject(
     plus per-point noise at a tenth of that, resampled to a point count
     drawn uniformly from points_range. Noise streamlines are smooth random
     Bezier curves spanning the bundles' joint bounding box. Deterministic
-    for fixed specs and seeds.
+    for fixed specs and seeds. A spec that may need more than
+    MAX_TOTAL_POINTS points raises InvalidSpec before anything is built.
     """
     if not specs:
         raise InvalidSpec("at least one bundle spec is required")
+    noise_streamline_count = _whole(noise_streamline_count, "noise_streamline_count")
     if noise_streamline_count < 0:
         raise InvalidSpec("noise_streamline_count must be >= 0")
+    top = max(s.points_range[1] for s in specs.values())
+    worst = sum(s.streamline_count * s.points_range[1] for s in specs.values())
+    if worst + noise_streamline_count * top > MAX_TOTAL_POINTS:
+        raise InvalidSpec(f"the spec may need {worst + noise_streamline_count * top} points, "
+                          f"more than the {MAX_TOTAL_POINTS} synth builds")
 
     streamlines: list[Streamline] = []
     membership: dict[str, list[int]] = {}
@@ -169,9 +181,8 @@ def generate_subject(
         box_lo, box_hi = _bounding_box(streamlines)
         rng = np.random.default_rng([global_seed, 0x6E6F69])
         lo = min(s.points_range[0] for s in specs.values())
-        hi = max(s.points_range[1] for s in specs.values())
         for _ in range(noise_streamline_count):
-            streamlines.append(random_smooth_curve(rng, box_lo, box_hi, (lo, hi)))
+            streamlines.append(random_smooth_curve(rng, box_lo, box_hi, (lo, top)))
 
     tractogram = Tractogram(streamlines)
     truth = {name: BundleRef(tractogram, idx, name=name) for name, idx in membership.items()}
@@ -192,11 +203,12 @@ def perturb_subject(
     if displacement_sigma < 0:
         raise InvalidSpec("displacement_sigma must be >= 0")
     rng = np.random.default_rng([seed, 0x70657274])
-    moved = []
-    for s in subject.tractogram:
-        offset = rng.normal(0.0, displacement_sigma, 3)
-        moved.append(Streamline._from_valid(s.points + offset))
-    tractogram = Tractogram(moved)
+    t = subject.tractogram
+    counts = np.diff(t.offsets)
+    # One draw of N offsets takes the values of N draws of one each.
+    moved = np.repeat(rng.normal(0.0, displacement_sigma, (len(t), 3)), counts, axis=0)
+    moved += t.points
+    tractogram = Tractogram._from_counts(moved, counts)
     truth = {
         name: BundleRef(tractogram, ref.indices, name=name)
         for name, ref in subject.truth.items()

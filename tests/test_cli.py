@@ -156,6 +156,9 @@ def _spec_with(path, value):
     ("a.points_range", [3, 1e30]),
     ("a.points_range", [3, 2 ** 32]),
     ("a.points_range", [3, 7.5]),
+    ("a.streamline_count", 6.7),
+    ("noise_streamlines", 6.7),
+    ("a.points_range", [3, 2 ** 32 - 1]),
 ])
 def test_synth_bad_numbers_exit_3(tmp_path, capsys, path, value):
     spec = tmp_path / "spec.json"

@@ -140,9 +140,10 @@ def test_seeded_cli_fuzz(tmp_path, capsys, inputs):
     assert codes[0] > 0 and codes[3] > 0
 
 
-# synth's spec values. Unlike SPECIAL_JSON, no large positive number: as a
-# streamline or point count it is a valid spec that generates that many.
-SYNTH_JSON = [-1, 0, -1e30, 1.5, float("nan"), True, None, "x", [], {}, [[0]], [3, 1e30]]
+# synth's spec values. A large streamline or point count is a whole number
+# that generate_subject's point cap rejects.
+SYNTH_JSON = [-1, 0, -1e30, 1.5, float("nan"), True, None, "x", [], {}, [[0]], [3, 1e30],
+              1e30, 2 ** 32 - 1, [3, 2 ** 32 - 1]]
 
 
 def mutate_spec(rng, doc: dict) -> bytes:

@@ -39,7 +39,7 @@ from tractodist.distances import (
     varifolds,
     varifolds_inner,
 )
-from tractodist.model import build_streamline, flip, resample_stack
+from tractodist.model import Tractogram, build_streamline, flip, resample_stack
 
 S = build_streamline
 
@@ -333,6 +333,16 @@ def test_distance_matrix_rectangular():
             for j in range(3):
                 assert m[i, j] == pytest.approx(
                     naive_distance(kind, rows[i], cols[j]), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", default_kinds(), ids=str)
+def test_tractogram_and_list_give_the_same_matrix(kind):
+    rng = np.random.default_rng(38)
+    t = Tractogram([random_streamline(rng) for _ in range(7)])
+    cols = Tractogram([random_streamline(rng) for _ in range(3)])
+    assert np.array_equal(distance_matrix(kind, t), distance_matrix(kind, list(t)))
+    assert np.array_equal(distance_matrix(kind, t, cols),
+                          distance_matrix(kind, list(t), list(cols)))
 
 
 @pytest.mark.parametrize("kind", default_kinds(), ids=str)

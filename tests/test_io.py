@@ -188,6 +188,10 @@ def assert_same_as_oracle(path):
         assert a.points.shape == b.points.shape
         assert a.points.tobytes() == b.points.tobytes()
         assert not a.points.flags.writeable
+    # The store itself: what a Tractogram of the oracle's streamlines holds.
+    flat = Tractogram(list(want.tractogram))
+    assert got.tractogram.points.tobytes() == flat.points.tobytes()
+    assert np.array_equal(got.tractogram.offsets, flat.offsets)
     return got
 
 

@@ -17,12 +17,12 @@ from tractodist.model import (
     BundleRef,
     Streamline,
     Tractogram,
+    arc_lengths,
     build_streamline,
     flip,
     points_at_arc_lengths,
     resample,
     resample_stack,
-    streamline_length,
 )
 from tractodist.io import read_tractogram, write_tractogram
 
@@ -107,7 +107,7 @@ def test_resample_point_count_and_endpoints():
 def test_resample_preserves_arc_length_of_straight_lines():
     s = build_streamline([[0, 0, 0], [10, 0, 0]])
     for m in (2, 3, 7, 33):
-        assert streamline_length(resample(s, m)) == pytest.approx(10.0, abs=1e-12)
+        assert arc_lengths(resample(s, m).points)[-1] == pytest.approx(10.0, abs=1e-12)
 
 
 def test_resample_rejects_bad_counts():
@@ -169,7 +169,7 @@ def test_resample_stack_empty_and_bad_counts():
 def test_points_at_arc_lengths_is_bit_identical_to_per_streamline():
     rng = np.random.default_rng(42)
     for s in _mixed_pool(rng)[:200]:
-        total = streamline_length(s)
+        total = arc_lengths(s.points)[-1]
         # voxelize's positions, plus some outside [0, total] to be clipped
         ts = np.append(np.arange(0.0, total, 0.625), [total, -1.0, total + 1.0])
         assert np.array_equal(points_at_arc_lengths(s.points, ts),
@@ -185,7 +185,7 @@ def test_flip_reverses_and_roundtrips():
 
 def test_length_is_sum_of_segment_norms():
     s = build_streamline([[0, 0, 0], [3, 4, 0], [3, 4, 12]])
-    assert streamline_length(s) == pytest.approx(17.0, abs=1e-12)
+    assert arc_lengths(s.points)[-1] == pytest.approx(17.0, abs=1e-12)
 
 
 def test_tractogram_indexing_and_iteration():
@@ -193,8 +193,34 @@ def test_tractogram_indexing_and_iteration():
     streams = [random_streamline(rng) for _ in range(5)]
     t = Tractogram(streams)
     assert len(t) == 5
-    assert t[3] is streams[3]
+    assert t[3] == streams[3]
+    assert t[-1] == streams[-1]
     assert list(t) == streams
+    with pytest.raises(IndexError):
+        t[5]
+    with pytest.raises(IndexError):
+        t[-6]
+
+
+def test_tractogram_store_is_read_only_and_indexing_views_it():
+    rng = np.random.default_rng(5)
+    streams = [random_streamline(rng) for _ in range(4)]
+    t = Tractogram(streams)
+    counts = [len(s) for s in streams]
+    assert t.points.dtype == np.float64 and t.points.shape == (sum(counts), 3)
+    assert t.offsets.tolist() == np.concatenate(([0], np.cumsum(counts))).tolist()
+    for i, s in enumerate(streams):
+        assert np.array_equal(t.points[t.offsets[i]:t.offsets[i + 1]], s.points)
+        assert np.shares_memory(t[i].points, t.points)
+    for array in (t.points, t.offsets, t[-1].points):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    empty = Tractogram([])
+    assert len(empty) == 0 and list(empty) == []
+    assert empty.points.shape == (0, 3) and empty.offsets.tolist() == [0]
+    with pytest.raises(IndexError):
+        empty[0]
 
 
 def test_bundle_ref_sorts_dedupes_and_validates():

@@ -272,6 +272,15 @@ def test_perturb_distance_matches_displacement_scale():
     assert 1.5 <= mean2 / mean_mc <= 2.2
 
 
+def test_perturb_equals_per_streamline_offsets():
+    subject = generate_subject({"a": arc_spec(streamline_count=12)},
+                               noise_streamline_count=5, global_seed=2)
+    moved = perturb_subject(subject, 1.5, seed=7)
+    rng = np.random.default_rng([7, 0x70657274])
+    for s, m in zip(subject.tractogram, moved.tractogram):
+        assert m.points.tobytes() == (s.points + rng.normal(0.0, 1.5, 3)).tobytes()
+
+
 def test_perturb_validates():
     subject = generate_subject({"a": arc_spec()}, global_seed=1)
     with pytest.raises(InvalidSpec):
