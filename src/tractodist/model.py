@@ -276,13 +276,15 @@ _PAD_ROWS = 64
 def resample_stack(streamlines: Tractogram | Sequence[Streamline], m: int) -> np.ndarray:
     """Resample each streamline as resample() does; stack into (n, m, 3).
 
-    Works a block of streamlines at a time: each block is padded to its
-    longest member by repeating last points, and all its samples are
+    The result is a non-contiguous view of a C-contiguous (3, n, m) store,
+    its .base: one plane per coordinate, which the mdf engine reads without
+    a copy. Works a block of streamlines at a time: each block is padded to
+    its longest member by repeating last points, and all its samples are
     interpolated at once.
     """
     m = _check_resample_count(m)
     t = Tractogram(streamlines)
-    out = np.empty((len(t), m, 3))
+    out = np.moveaxis(np.empty((3, len(t), m)), 0, -1)
     for lo in range(0, len(t), _PAD_ROWS):
         points, last = _pad_polylines(t, np.arange(lo, min(lo + _PAD_ROWS, len(t))))
         out[lo:lo + len(last)] = _resample_padded(points, last, m)

@@ -331,6 +331,24 @@ def test_segment_embedding_kind_mismatch_exit_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_segment_embedding_with_out_of_range_mdf_kind_exit_3(tmp_path, capsys):
+    path, t = make_trgx(tmp_path, "a.trgx", n=10)
+    bundle = make_bundle(tmp_path, "b.json", t, [0])
+    embd = tmp_path / "t.embd"
+    assert main(["--prototypes", "4", "embed", path, "--kind", "mdf-20",
+                 "--out", str(embd)]) == 0
+    data = embd.read_bytes()
+    old, new = b"\x06\x00mdf-20", b"\x11\x00mdf-1000000000000"
+    assert data[8:16] == old
+    embd.write_bytes(data[:8] + new + data[16:])
+    code = main(["segment", "--example", path, "--bundle", bundle,
+                 "--target", path, "--kind", "mdf-20",
+                 "--embedding", str(embd), "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "bad kind string" in err and "Traceback" not in err
+
+
 def test_segment_embedding_row_mismatch_exit_3(tmp_path):
     path, t = make_trgx(tmp_path, "a.trgx", n=10)
     other_path, _ = make_trgx(tmp_path, "other.trgx", n=6, seed=9)
@@ -538,6 +556,9 @@ def test_exit_code_of_each_error_class(tmp_path, capsys, monkeypatch, error):
     ["dist", "x.trgx", "--kind", "pdm-inf"],
     ["dist", "x.trgx", "--kind", "var-nan"],
     ["dist", "x.trgx", "--kind", "pdm-1e200"],
+    ["dist", "x.trgx", "--kind", "mdf-1025"],
+    ["dist", "x.trgx", "--kind", "mdf-1000000000000", "--pairs", "0:1"],
+    ["dist", "x.trgx", "--kind", "mdf-99999999999999999999999", "--pairs", "0:1"],
 ])
 def test_degenerate_sizes_and_bandwidths_exit_2(capsys, argv):
     assert main(argv) == 2

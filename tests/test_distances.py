@@ -17,8 +17,10 @@ from conftest import (
     random_streamline,
     rigid_motion,
 )
+from tractodist import distances
 from tractodist.distances import (
     LC,
+    MAX_MDF_POINTS,
     MC,
     SC,
     DistanceKind,
@@ -62,17 +64,21 @@ def test_parse_accepts_arbitrary_positive_params():
     assert parse_kind("mdf-7") == mdf(7)
     assert parse_kind("pdm-3.5") == pdm(3.5)
     assert parse_kind("VAR-10") == varifolds(10.0)
+    assert parse_kind(f"mdf-{MAX_MDF_POINTS}") == mdf(MAX_MDF_POINTS)
 
 
 def test_parse_rejects_garbage():
-    for text in ("", "frechet", "mdf", "mdf-1", "mdf-x", "pdm", "pdm-0", "var--3", "mc-2"):
+    for text in ("", "frechet", "mdf", "mdf-1", "mdf-x", "pdm", "pdm-0", "var--3", "mc-2",
+                 f"mdf-{MAX_MDF_POINTS + 1}", "mdf-1000000000000",
+                 "mdf-99999999999999999999999", "mdf-inf"):
         with pytest.raises(ValueError):
             parse_kind(text)
 
 
 def test_kind_validation():
-    with pytest.raises(ValueError):
-        DistanceKind("mdf", 1)
+    for m in (1, MAX_MDF_POINTS + 1, 10**12, 10**23, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            DistanceKind("mdf", m)
     with pytest.raises(ValueError):
         DistanceKind("pdm", -1.0)
     with pytest.raises(ValueError):
@@ -471,7 +477,7 @@ def test_closest_entries_do_not_depend_on_the_call(kind, run, monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("budget", ["default", "one", "split"])
-@pytest.mark.parametrize("m", [3, 12, 20])
+@pytest.mark.parametrize("m", [2, 3, 12, 20, 32])
 def test_mdf_row_blocks_give_the_per_pair_bits(m, budget, monkeypatch):
     """Blocks of one row, blocks that split the matrix with a short last
     block, and the default budget all give d_mdf's bits, an exactly
@@ -501,6 +507,39 @@ def test_mdf_row_blocks_give_the_per_pair_bits(m, budget, monkeypatch):
     assert distance_matrix(kind, rows, []).shape == (len(rows), 0)
     assert distance_matrix(kind, []).shape == (0, 0)
     assert mdf_min_direct_flipped(stack[:0], stack[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("m", [2, 20])
+def test_mdf_engine_reads_the_resampled_store_without_a_copy(m, monkeypatch):
+    """The engine's planes are resample_stack's (3, n, m) store itself, and
+    gathered (n, m, 3) stacks, views or copies, give the per-pair bits."""
+    rng = np.random.default_rng(42)
+    streams = [random_streamline(rng) for _ in range(9)]
+    made = []
+
+    def recording(t, m):
+        made.append(resample_stack(t, m))
+        return made[-1]
+
+    monkeypatch.setattr("tractodist.distances.resample_stack", recording)
+    planes = distances._prepare(mdf(m), Tractogram(streams))
+    assert planes.shape == (3, len(streams), m)
+    assert np.shares_memory(planes, made[0].base)
+    stack = made[0]
+    ii, jj = rng.integers(0, len(streams), (2, 30))
+    expected = [d_mdf(streams[i], streams[j], m) for i, j in zip(ii, jj)]
+    assert list(mdf_min_direct_flipped(stack[ii], stack[jj])) == expected
+    copies = np.ascontiguousarray(stack[ii]), np.ascontiguousarray(stack[jj])
+    assert list(mdf_min_direct_flipped(*copies)) == expected
+
+
+@pytest.mark.parametrize("m", [2, 12, 20, 32])
+def test_mdf_self_distance_is_exactly_zero(m):
+    rng = np.random.default_rng(43)
+    streams = [random_streamline(rng) for _ in range(9)]
+    assert [d_mdf(s, s, m) for s in streams] == [0.0] * len(streams)
+    assert np.all(np.diag(distance_matrix(mdf(m), streams)) == 0.0)
+    assert np.all(np.diag(distance_matrix(mdf(m), streams, list(streams))) == 0.0)
 
 
 @pytest.mark.parametrize("kind", default_kinds(), ids=str)

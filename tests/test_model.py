@@ -142,6 +142,18 @@ def test_resample_stack_is_bit_identical_to_per_streamline(m):
         assert np.array_equal(resample(s, m).points, naive_resample(s.points, m))
 
 
+@pytest.mark.parametrize("n", [0, 1, 601])
+def test_resample_stack_is_a_view_of_coordinate_planes(n):
+    pool = _mixed_pool(np.random.default_rng(44))[:n]
+    got = resample_stack(pool, 20)
+    assert got.shape == (n, 20, 3)
+    assert got.base.shape == (3, n, 20)
+    assert got.base.flags.c_contiguous
+    assert np.array_equal(np.moveaxis(got.base, 0, -1), got)
+    for i in range(min(n, 5)):
+        assert np.array_equal(got[i], resample(pool[i], 20).points)
+
+
 def test_resample_stack_reversal_puts_two_samples_on_one_spot():
     s = build_streamline([[0, 0, 0], [2, 0, 0], [0, 0, 0]])
     got = resample_stack([s], 5)[0]
