@@ -47,6 +47,8 @@ from .distances import DEFAULT_SIGMA, DistanceKind, default_kinds, distance_matr
 from .embedding import (
     DEFAULT_PROTOTYPE_COUNT,
     DEFAULT_SUBSET_CAP,
+    SUBSET_RULE,
+    default_subset_size,
     embed_tractogram,
     select_prototypes_sff,
 )
@@ -84,7 +86,10 @@ def _sigma_arg(text: str) -> float:
 
 
 def _kinds_arg(text: str) -> list[DistanceKind]:
-    return [_kind_arg(part) for part in text.split(",") if part.strip()]
+    kinds = [_kind_arg(part) for part in text.split(",") if part.strip()]
+    if not kinds:
+        raise argparse.ArgumentTypeError(f"no kind in {text!r}")
+    return kinds
 
 
 def _positive_int(text: str) -> int:
@@ -124,6 +129,7 @@ def _pairs_arg(text: str) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    subset = default_subset_size(DEFAULT_SUBSET_CAP, DEFAULT_PROTOTYPE_COUNT)
     parser = argparse.ArgumentParser(
         prog="tractodist",
         description="Streamline distances, dissimilarity embeddings, and "
@@ -141,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
                              f"or the TRGX header)")
     parser.add_argument("--sff-subset", type=_positive_int, default=None,
                         help="candidate subset size for prototype selection "
-                             f"(default: min(N, {DEFAULT_SUBSET_CAP}))")
+                             f"(default: {SUBSET_RULE}; {subset} at p = "
+                             f"{DEFAULT_PROTOTYPE_COUNT} and N >= {subset})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic subject")

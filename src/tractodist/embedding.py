@@ -9,6 +9,7 @@ the same distance kind; mixing kinds is rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,25 @@ from .errors import KindMismatch, TooManyPrototypes
 from .model import Tractogram
 
 DEFAULT_PROTOTYPE_COUNT = 40
+# Ceiling on the default candidate subset: its s x s distance matrix stays
+# within 32 MB. The rule below reaches it from 136 prototypes on.
 DEFAULT_SUBSET_CAP = 2000
+SUBSET_FACTOR = 3
+SUBSET_RULE = (f"min(N, {DEFAULT_SUBSET_CAP}, max(p, ceil({SUBSET_FACTOR}*p*ln p))) "
+               f"for p prototypes")
+
+
+def default_subset_size(n: int, count: int) -> int:
+    """SFF candidates drawn when no subset size is given: SUBSET_RULE.
+
+    ceil(c*p*ln p) with c = 3 is the subset size of Olivetti, Nguyen and
+    Garyfallidis, "The approximation of the dissimilarity projection" (PRNI
+    2012); max(p, ...) keeps p = 1 (a single candidate) valid. count >= 1.
+    """
+    # The rule is nondecreasing in p and already past the cap at p = cap,
+    # so capping p first changes nothing and keeps math.log off huge ints.
+    p = min(count, DEFAULT_SUBSET_CAP)
+    return min(n, DEFAULT_SUBSET_CAP, max(p, math.ceil(SUBSET_FACTOR * p * math.log(p))))
 
 
 @dataclass(frozen=True)
@@ -88,18 +107,20 @@ def select_prototypes_sff(
     """Pick prototype streamlines with the subset farthest first policy.
 
     A uniform random subset of min(subset_size, N) candidates is drawn
-    (default cap 2000); the first prototype is the candidate with the
-    greatest total distance to all other candidates, and each subsequent
-    one maximizes the minimum distance to those already selected. Ties go
-    to the lowest streamline index. Deterministic for a fixed rng_seed.
+    (default: default_subset_size(N, count), 443 at 40 prototypes, and a
+    single candidate, the prototype itself, at 1); the first prototype is
+    the candidate with the greatest total distance to all other candidates,
+    and each subsequent one maximizes the minimum distance to those already
+    selected. Ties go to the lowest streamline index. Deterministic for a
+    fixed rng_seed.
     """
     n = len(tractogram)
     if count < 1:
         raise TooManyPrototypes(f"prototype count must be >= 1, got {count}")
+    if subset_size is None:
+        subset_size = default_subset_size(n, count)
     if count > n:
         raise TooManyPrototypes(f"{count} prototypes requested from {n} streamlines")
-    if subset_size is None:
-        subset_size = min(n, DEFAULT_SUBSET_CAP)
     if subset_size < count:
         raise TooManyPrototypes(
             f"candidate subset of {subset_size} cannot yield {count} prototypes"
@@ -107,8 +128,7 @@ def select_prototypes_sff(
 
     rng = np.random.default_rng(rng_seed)
     candidates = np.sort(rng.choice(n, size=min(subset_size, n), replace=False))
-    streams = [tractogram[int(i)] for i in candidates]
-    dmat = distance_matrix(kind, streams)
+    dmat = distance_matrix(kind, tractogram.take(candidates))
 
     # Candidates are sorted ascending, so argmax's first-hit rule breaks
     # ties toward the lowest streamline index.
@@ -134,6 +154,5 @@ def embed_tractogram(
     """Embed every streamline of t against the prototypes of source."""
     if kind != protos.kind:
         raise KindMismatch(f"embedding kind {kind} != prototype kind {protos.kind}")
-    proto_streams = [source[j] for j in protos.indices]
-    vectors = distance_matrix(kind, t, proto_streams)
+    vectors = distance_matrix(kind, t, source.take(protos.indices))
     return EmbeddedTractogram(vectors, protos, kind)

@@ -127,6 +127,19 @@ class Tractogram:
         i %= n
         return Streamline._from_valid(self._points[self._offsets[i]:self._offsets[i + 1]])
 
+    def take(self, ids) -> "Tractogram":
+        """Streamlines ids (each in 0..N-1), in that order, gathered into a new store."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and not (ids.min() >= 0 and ids.max() < len(self)):
+            raise IndexError(f"streamline ids outside 0..{len(self) - 1}")
+        first = self._offsets[ids]
+        counts = self._offsets[ids + 1] - first
+        # Row r of the gather is store row r + shift of its streamline: the
+        # streamline's first row in the store minus its first row here.
+        shift = first - (np.cumsum(counts) - counts)
+        rows = np.arange(counts.sum()) + np.repeat(shift, counts)
+        return Tractogram._from_counts(self._points[rows], counts)
+
     def __repr__(self) -> str:
         return f"Tractogram({len(self)} streamlines)"
 

@@ -187,6 +187,28 @@ def naive_nearest(vectors: np.ndarray, query: np.ndarray) -> tuple[int, float]:
 
 
 # ---------------------------------------------------------------------------
+# Prototype selection oracle
+# ---------------------------------------------------------------------------
+
+def reference_sff(dmat: np.ndarray, candidates, count):
+    """Brute-force subset farthest first on a precomputed distance matrix.
+
+    First pick: candidate with greatest total distance to the other
+    candidates; then repeatedly the candidate farthest from the chosen
+    set. Ties go to the lowest streamline index.
+    """
+    candidates = sorted(candidates)
+    totals = {c: sum(dmat[c, o] for o in candidates if o != c) for c in candidates}
+    best = max(candidates, key=lambda c: (totals[c], -c))
+    chosen = [best]
+    while len(chosen) < count:
+        remaining = [c for c in candidates if c not in chosen]
+        far = max(remaining, key=lambda c: (min(dmat[c, p] for p in chosen), -c))
+        chosen.append(far)
+    return chosen
+
+
+# ---------------------------------------------------------------------------
 # TRGX reader oracle (one streamline at a time)
 # ---------------------------------------------------------------------------
 

@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 
 import tractodist
-from conftest import random_streamline
+from conftest import random_streamline, reference_sff
 from tractodist import errors
-from tractodist.cli import main
+from tractodist.cli import build_parser, main
 from tractodist.distances import default_kinds, distance, distance_matrix, parse_kind
 from tractodist.embedding import (
+    DEFAULT_PROTOTYPE_COUNT,
+    DEFAULT_SUBSET_CAP,
+    SUBSET_RULE,
     EmbeddedTractogram,
     PrototypeSet,
+    default_subset_size,
     embed_tractogram,
     select_prototypes_sff,
 )
@@ -256,6 +260,38 @@ def test_embed_matches_library_and_is_deterministic(tmp_path, capsys):
     for i, p in ((0, 0), (3, 2), (11, 5)):
         assert emb.vectors[i, p] == pytest.approx(
             distance(kind, t[i], t[protos.indices[p]]), rel=1e-12)
+
+
+def test_sff_subset_help_states_the_rule():
+    text = " ".join(build_parser().format_help().split())
+    subset = default_subset_size(DEFAULT_SUBSET_CAP, DEFAULT_PROTOTYPE_COUNT)
+    assert f"(default: {SUBSET_RULE}; {subset} at p = {DEFAULT_PROTOTYPE_COUNT}" in text
+
+
+def test_sff_subset_2000_reproduces_the_old_default(tmp_path, capsys):
+    # N = 500 > 443 = default_subset_size(500, 40). The default before the
+    # rule drew min(N, 2000) candidates: all 500, so its prototypes are the
+    # farthest-first picks over the whole tractogram.
+    path, t = make_trgx(tmp_path, "a.trgx", n=500, seed=8)
+    kind = parse_kind("mdf-12")
+    assert default_subset_size(len(t), DEFAULT_PROTOTYPE_COUNT) < len(t)
+    old, new = str(tmp_path / "old.embd"), str(tmp_path / "new.embd")
+    assert main(["--sff-subset", "2000", "embed", path, "--kind", "mdf-12", "--out", old]) == 0
+    assert main(["embed", path, "--kind", "mdf-12", "--out", new]) == 0
+    expected = reference_sff(distance_matrix(kind, t), range(len(t)), DEFAULT_PROTOTYPE_COUNT)
+    assert list(read_embedding(old).prototypes.indices) == expected
+    assert read_embedding(new).prototypes.indices != tuple(expected)
+
+    # An EMBD built before the rule still serves segment --embedding under
+    # it: the rows are checked against the prototypes stored in the file.
+    bundle = make_bundle(tmp_path, "b.json", t, [3, 50, 499])
+    reused, fresh = tmp_path / "reused.json", tmp_path / "fresh.json"
+    argv = ["segment", "--example", path, "--bundle", bundle, "--target", path,
+            "--kind", "mdf-12"]
+    assert main(argv + ["--embedding", old, "--out", str(reused)]) == 0
+    assert main(["--sff-subset", "2000"] + argv + ["--out", str(fresh)]) == 0
+    assert json.loads(reused.read_text()) == json.loads(fresh.read_text())
+    capsys.readouterr()
 
 
 def test_embed_too_many_prototypes_exit_4(tmp_path, capsys):
@@ -519,6 +555,13 @@ def test_bench_agreement_csv(tmp_path):
     ["--prototypes", "-3", "embed", "x.trgx", "--kind", "mc", "--out", "e"],
     ["bench", "nonsense"],
     ["--threads", "2", "dist", "x.trgx", "--kind", "mc"],
+    # An empty kind list is a usage error, not "all eight kinds".
+    ["agreement", "--example", "e.trgx", "--bundle", "b.json", "--target", "t.trgx",
+     "--kinds", ""],
+    ["agreement", "--example", "e.trgx", "--bundle", "b.json", "--target", "t.trgx",
+     "--kinds", ","],
+    ["bench", "timing", "--pairs", "1", "--kinds", ""],
+    ["bench", "dsc", "--kinds", " , "],
 ])
 def test_usage_errors_exit_2(tmp_path, capsys, argv):
     assert main(argv) == 2

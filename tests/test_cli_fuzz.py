@@ -1,8 +1,9 @@
-"""Seeded mutation fuzz of the CLI's input files.
+"""Seeded mutation fuzz of the CLI's input files and global flags.
 
 Every subcommand that reads TRGX, EMBD, bundle, result or synth spec JSON
 is run on damaged copies of valid inputs. Whatever the damage, main must
-return 0, 3 or 4 and print no traceback.
+return 0, 3 or 4 and print no traceback. Mutated global flags may also
+give a usage error, exit 2.
 """
 
 import json
@@ -108,13 +109,13 @@ def mutate_json(rng, text: str) -> bytes:
     return json.dumps(doc).encode()
 
 
-def run_cli(capsys, argv, what):
+def run_cli(capsys, argv, what, codes=(0, 3, 4)):
     try:
         code = main(GLOBAL + argv)
     except Exception as exc:  # the CLI contract: never an uncaught exception
         pytest.fail(f"{what}: main raised {exc!r}")
     err = capsys.readouterr().err
-    assert code in (0, 3, 4), f"{what}: exit {code}\n{err}"
+    assert code in codes, f"{what}: exit {code}\n{err}"
     assert "Traceback" not in err, f"{what}\n{err}"
     return code, err
 
@@ -174,6 +175,32 @@ def test_seeded_synth_fuzz(tmp_path, capsys):
                           f"case {case}, synth")
         codes[code] += 1
     assert codes[0] > 0 and codes[3] > 0
+
+
+# Global flag values: zero, negatives, fractions, special float text, counts
+# of 20+ digits (a prototype count that large reaches the SFF subset rule)
+# and values that work.
+FLAG_VALUES = ["0", "-1", "-7.5", "0.5", "1.5", "1e3", "inf", "-inf", "nan", "1e-320",
+               "1e400", "", "x", "0x10", "1", "2", "3", "5", "17", "42",
+               str(10 ** 20 + 7), str(-10 ** 25), str(10 ** 40), "9" * 30]
+GLOBAL_FLAGS = ["--seed", "--sigma", "--prototypes", "--voxel-size", "--sff-subset"]
+FLAG_COMMANDS = ["segment", "segment --embedding", "embed", "agreement"]
+
+
+def test_seeded_global_flag_fuzz(tmp_path, capsys, inputs):
+    rng = np.random.default_rng(20173)
+    codes = {0: 0, 2: 0, 3: 0, 4: 0}
+    for case in range(240):
+        command = FLAG_COMMANDS[case % len(FLAG_COMMANDS)]
+        flag = GLOBAL_FLAGS[rng.integers(len(GLOBAL_FLAGS))]
+        value = FLAG_VALUES[rng.integers(len(FLAG_VALUES))]
+        argv = [flag, value] + [part.format(**inputs) for part in COMMANDS[command]]
+        code, _ = run_cli(capsys, argv, f"case {case}, {command} {flag} {value!r}",
+                          codes=(0, 2, 3, 4))
+        codes[code] += 1
+    # Every outcome occurs: success, a refused flag, and a count too large
+    # for the inputs (exit 4). No flag value is a data error.
+    assert codes[0] > 0 and codes[2] > 0 and codes[4] > 0 and codes[3] == 0
 
 
 def test_tiny_header_voxel_size_exits_3(tmp_path, capsys, inputs):

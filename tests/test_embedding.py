@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_streamline
-from tractodist.distances import MC, distance, distance_matrix, mdf
+from conftest import random_streamline, reference_sff
+from tractodist.distances import MC, default_kinds, distance, distance_matrix, mdf
 from tractodist.embedding import (
+    DEFAULT_PROTOTYPE_COUNT,
+    DEFAULT_SUBSET_CAP,
     EmbeddedTractogram,
     PrototypeSet,
+    default_subset_size,
     embed_tractogram,
     select_prototypes_sff,
 )
@@ -20,24 +23,6 @@ def unit_segment_at(x):
 def embed_oracle(s, protos, source, kind) -> np.ndarray:
     """Distance from s to each prototype, one per-pair distance() call each."""
     return np.array([distance(kind, s, source[j]) for j in protos.indices])
-
-
-def reference_sff(dmat: np.ndarray, candidates, count):
-    """Brute-force subset farthest first on a precomputed distance matrix.
-
-    First pick: candidate with greatest total distance to the other
-    candidates; then repeatedly the candidate farthest from the chosen
-    set. Ties go to the lowest streamline index.
-    """
-    candidates = sorted(candidates)
-    totals = {c: sum(dmat[c, o] for o in candidates if o != c) for c in candidates}
-    best = max(candidates, key=lambda c: (totals[c], -c))
-    chosen = [best]
-    while len(chosen) < count:
-        remaining = [c for c in candidates if c not in chosen]
-        far = max(remaining, key=lambda c: (min(dmat[c, p] for p in chosen), -c))
-        chosen.append(far)
-    return chosen
 
 
 def test_sff_collinear_extremes():
@@ -138,3 +123,65 @@ def test_prototype_set_validates():
         PrototypeSet(indices=(), kind=MC)
     with pytest.raises(ValueError):
         PrototypeSet(indices=(1, 1), kind=MC)
+
+
+# ---------------------------------------------------------------------------
+# The default candidate subset: min(N, cap, max(p, ceil(3 p ln p)))
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("count, expected", [
+    (1, 1),  # 3 ln 1 = 0: max(p, ...) keeps one candidate
+    (2, 5),  # ceil(6 ln 2) = ceil(4.16)
+    (3, 10),
+    (40, 443),  # ceil(120 ln 40) = ceil(442.67)
+    (135, 1987),
+    (136, DEFAULT_SUBSET_CAP),  # ceil(408 ln 136) = 2005: the cap wins from here on
+    (140, DEFAULT_SUBSET_CAP),
+    (DEFAULT_SUBSET_CAP, DEFAULT_SUBSET_CAP),
+    (10 ** 25, DEFAULT_SUBSET_CAP),  # never turns a huge count into a float
+])
+def test_default_subset_size_rule(count, expected):
+    assert default_subset_size(10 ** 6, count) == expected
+    # N below the rule: every streamline is a candidate.
+    assert default_subset_size(7, count) == min(7, expected)
+    if expected > 1:
+        assert default_subset_size(expected - 1, count) == expected - 1
+
+
+def test_default_subset_size_at_the_default_prototype_count():
+    assert default_subset_size(10_000, DEFAULT_PROTOTYPE_COUNT) == 443
+    assert default_subset_size(200, DEFAULT_PROTOTYPE_COUNT) == 200
+
+
+def test_sff_default_is_the_rule_with_an_explicit_subset():
+    rng = np.random.default_rng(50)
+    t = Tractogram([random_streamline(rng, n_points=int(k)) for k in rng.integers(2, 9, 60)])
+    kind = mdf(12)
+    for count in (1, 2, 3, 5):
+        s = default_subset_size(len(t), count)
+        assert s < len(t)
+        for seed in (0, 7):
+            default = select_prototypes_sff(t, kind, count, rng_seed=seed)
+            explicit = select_prototypes_sff(t, kind, count, subset_size=s, rng_seed=seed)
+            assert default == explicit
+
+
+def test_sff_with_one_prototype_draws_one_candidate_and_returns_it():
+    rng = np.random.default_rng(51)
+    t = Tractogram([random_streamline(rng, n_points=4) for _ in range(30)])
+    for seed in (0, 3, 11):
+        drawn = np.random.default_rng(seed).choice(len(t), size=1, replace=False)
+        protos = select_prototypes_sff(t, MC, 1, rng_seed=seed)
+        assert protos.indices == (int(drawn[0]),)
+
+
+@pytest.mark.parametrize("kind", default_kinds(5.0), ids=str)
+def test_gathered_candidates_and_prototypes_keep_their_bits(kind):
+    rng = np.random.default_rng(52)
+    t = Tractogram([random_streamline(rng, n_points=int(k)) for k in rng.integers(2, 12, 25)])
+    ids = np.sort(rng.choice(len(t), size=15, replace=False))
+    assert np.array_equal(distance_matrix(kind, t.take(ids)),
+                          distance_matrix(kind, [t[int(i)] for i in ids]))
+    protos = select_prototypes_sff(t, kind, 4, subset_size=15, rng_seed=3)
+    emb = embed_tractogram(t, protos, t, kind)
+    assert np.array_equal(emb.vectors, distance_matrix(kind, t, [t[j] for j in protos.indices]))

@@ -235,6 +235,22 @@ def test_tractogram_store_is_read_only_and_indexing_views_it():
         empty[0]
 
 
+@pytest.mark.parametrize("ids", [[], [3], [5, 1, 5, 0], list(range(6))[::-1]])
+def test_take_gathers_the_listed_streamlines_into_a_new_store(ids):
+    rng = np.random.default_rng(6)
+    t = Tractogram([random_streamline(rng) for _ in range(6)])
+    gathered = t.take(np.array(ids))
+    listed = Tractogram([t[i] for i in ids])
+    assert np.array_equal(gathered.points, listed.points)
+    assert np.array_equal(gathered.offsets, listed.offsets)
+    assert gathered.points.shape == listed.points.shape
+    assert not np.shares_memory(gathered.points, t.points)
+    assert not gathered.points.flags.writeable and not gathered.offsets.flags.writeable
+    for bad in ([6], [0, -1]):
+        with pytest.raises(IndexError):
+            t.take(bad)
+
+
 def test_bundle_ref_sorts_dedupes_and_validates():
     rng = np.random.default_rng(3)
     t = Tractogram([random_streamline(rng) for _ in range(4)])
