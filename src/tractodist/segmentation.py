@@ -24,9 +24,15 @@ from .embedding import (
     select_prototypes_sff,
 )
 from .errors import BothEmpty, EmptyExampleBundle, IndexOutOfRange, InvalidSpec, KindMismatch
-from .model import _PAD_ROWS, BundleRef, Tractogram, _interpolate, _pad_polylines, arc_lengths
-
-VoxelSet = set  # of (i, j, k) integer tuples
+from .model import (
+    _PAD_ROWS,
+    BundleRef,
+    Tractogram,
+    _pad_polylines,
+    _segment_fractions,
+    _segment_starts,
+    arc_lengths,
+)
 
 DEFAULT_VOXEL_SIZE = 1.25  # mm
 
@@ -42,6 +48,8 @@ MAX_VOXEL_SAMPLES = 2 ** 20
 # benchmark's paper200 peak RSS by 1.6 MB, blocks of 8192 samples by 0.4.
 _VOXEL_BLOCK_SAMPLES = 8192
 _INT64_BOUND = 2.0 ** 63  # int64 holds exactly the integral floats in [-bound, bound)
+_INT64_MAX = np.iinfo(np.int64).max
+_FLOAT_EXACT = 2 ** 53  # float64 holds every integer in [0, 2 ** 53]
 
 
 @dataclass(frozen=True)
@@ -52,8 +60,57 @@ class VoxelGrid:
     voxel_size: float = DEFAULT_VOXEL_SIZE
 
     def __post_init__(self):
+        try:
+            origin = np.asarray(self.origin, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            origin = None
+        if origin is None or origin.shape != (3,) or not np.isfinite(origin).all():
+            raise InvalidSpec(f"voxel grid origin must be 3 finite numbers, got {self.origin!r}")
         if not 0 < self.voxel_size < math.inf:
             raise InvalidSpec(f"voxel size must be finite and positive, got {self.voxel_size}")
+
+
+class VoxelSet:
+    """Distinct voxel indices (i, j, k) of a grid.
+
+    rows is a read-only (V, 3) int64 array in lexicographic order. A
+    VoxelSet iterates as (i, j, k) tuples of Python ints, so set(v) is the
+    same voxels as a Python set, and compares equal to another VoxelSet or
+    to a set or frozenset of those tuples, from either side of ==. Built
+    from any iterable of (i, j, k) or a (V, 3) integer array, sorting and
+    dropping duplicates.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, voxels=()):
+        if not isinstance(voxels, np.ndarray):
+            voxels = list(voxels)
+        rows = _distinct_rows(np.asarray(voxels, dtype=np.int64).reshape(-1, 3))
+        rows.flags.writeable = False
+        self._rows = rows
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self):
+        return map(tuple, self._rows.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, VoxelSet):
+            return np.array_equal(self._rows, other._rows)
+        if isinstance(other, (set, frozenset)):
+            return len(other) == len(self) and other == set(self)
+        return NotImplemented
+
+    __hash__ = None  # equal to a set, which is unhashable
+
+    def __repr__(self) -> str:
+        return f"VoxelSet({len(self)} voxels)"
 
 
 @dataclass(frozen=True)
@@ -160,14 +217,15 @@ def segment(
 
 
 def voxelize(bundle: BundleRef, tractogram: Tractogram, grid: VoxelGrid) -> VoxelSet:
-    """Set of voxel indices crossed by the bundle's streamlines.
+    """The voxels crossed by the bundle's streamlines.
 
     Each streamline is walked at arc-length steps of half a voxel edge
     (both endpoints included); each sample maps to
     floor((p - origin) / voxel_size) per axis. A half-edge step cannot
     skip a voxel the sampled path passes through for longer than the step.
-    Streamlines are walked in padded blocks, with the arithmetic of
-    points_at_arc_lengths, so every sample is the one-streamline walk's.
+    Streamlines are walked in padded blocks, one coordinate plane at a
+    time, with the arithmetic of model._interpolate, so every sample is the
+    one-streamline walk's.
 
     Raises IndexOutOfRange for an index past the tractogram, and
     InvalidSpec for a walk of more than MAX_VOXEL_SAMPLES samples or a
@@ -176,7 +234,7 @@ def voxelize(bundle: BundleRef, tractogram: Tractogram, grid: VoxelGrid) -> Voxe
     """
     step = grid.voxel_size / 2.0
     origin = np.asarray(grid.origin, dtype=np.float64)
-    voxels: VoxelSet = set()
+    blocks = [np.empty((0, 3), dtype=np.int64)]  # each block's distinct voxels
     n = len(tractogram)
     indices = bundle.indices
     valid = bisect_left(indices, n)  # indices are sorted
@@ -184,6 +242,7 @@ def voxelize(bundle: BundleRef, tractogram: Tractogram, grid: VoxelGrid) -> Voxe
         ids = indices[lo:min(lo + _PAD_ROWS, valid)]
         points, last = _pad_polylines(tractogram, np.array(ids))
         cum = arc_lengths(points)
+        planes = np.ascontiguousarray(np.moveaxis(points, -1, 0))  # (3, b, n)
         with np.errstate(over="ignore"):
             ratio = cum[:, -1] / step
         too_long = np.flatnonzero(ratio > MAX_VOXEL_SAMPLES)
@@ -193,62 +252,147 @@ def voxelize(bundle: BundleRef, tractogram: Tractogram, grid: VoxelGrid) -> Voxe
         rows = max(1, _VOXEL_BLOCK_SAMPLES // int(before.max(initial=0) + 1))
         for r in range(0, walked, rows):
             b = slice(r, min(r + rows, walked))
-            floored = _walk_floor(points[b], cum[b], last[b], before[b], step, origin,
+            floored = _walk_floor(planes[:, b], cum[b], last[b], before[b], step, origin,
                                   grid.voxel_size)
-            if not (floored.min() >= -_INT64_BOUND and floored.max() < _INT64_BOUND):
-                inside = ((floored >= -_INT64_BOUND) & (floored < _INT64_BOUND)).all(axis=(1, 2))
-                raise InvalidSpec(f"streamline {ids[r + int(np.argmin(inside))]} reaches a voxel "
+            low, high = floored.min(axis=1), floored.max(axis=1)
+            if not (low.min() >= -_INT64_BOUND and high.max() < _INT64_BOUND):
+                inside = ((floored >= -_INT64_BOUND) & (floored < _INT64_BOUND)).all(axis=0)
+                first = int(np.argmin(inside.reshape(b.stop - r, -1).all(axis=1)))
+                raise InvalidSpec(f"streamline {ids[r + first]} reaches a voxel "
                                   f"index outside int64 at voxel size {grid.voxel_size:g} mm")
-            _add_distinct(voxels, floored.reshape(-1, 3).astype(np.int64))
+            blocks.append(_distinct_block(floored, low, high))
         if walked < len(ids):
             raise InvalidSpec(f"streamline {ids[walked]} ({cum[walked, -1]:.6g} mm) needs more than "
                               f"{MAX_VOXEL_SAMPLES} samples at voxel size {grid.voxel_size:g} mm")
     if valid < len(indices):
         raise IndexOutOfRange(f"bundle index {indices[valid]} not in tractogram of size {n}")
-    return voxels
+    return VoxelSet(np.concatenate(blocks))
 
 
-def _walk_floor(points: np.ndarray, cum: np.ndarray, last: np.ndarray, before: np.ndarray,
+def _walk_floor(planes: np.ndarray, cum: np.ndarray, last: np.ndarray, before: np.ndarray,
                 step: float, origin: np.ndarray, voxel_size: float) -> np.ndarray:
     """Floored voxel coordinates, as floats, of padded polylines walked at
-    pos * step for pos < before[r], then at the end; (b, k, 3). Positions
-    past a row's end repeat its end point."""
+    pos * step for pos < before[r], then at the end: one (b * k,) row per
+    axis, (3, b * k). planes (3, b, n) are the polylines' coordinates.
+    Positions past a row's end repeat its end point."""
     pos = np.arange(before.max() + 1)
     ts = np.where(pos < before[:, None], pos * step, cum[:, -1:])
-    samples = _interpolate(points, cum, last, ts)
-    samples -= origin
-    with np.errstate(over="ignore"):
-        samples /= voxel_size
-    return np.floor(samples, out=samples)
+    ts, idx, start, seglen = _segment_starts(cum, last, ts)
+    frac = _segment_fractions(ts, start, seglen).ravel()
+    idx = idx.ravel()
+    nxt = idx + 1
+    out = np.empty((3, idx.size))
+    for a in range(3):
+        # A 1-D take per plane: a row-major (b, k, 3) gather, transposed for
+        # the codes, made voxelize ~12% slower on 3,000-streamline bundles.
+        plane = planes[a].reshape(-1)
+        p0 = plane.take(idx)
+        seg = plane.take(nxt, out=out[a])
+        seg -= p0
+        seg *= frac
+        seg += p0
+        seg -= origin[a]
+        with np.errstate(over="ignore"):
+            seg /= voxel_size
+    return np.floor(out, out=out)
 
 
-def _add_distinct(voxels: VoxelSet, idx: np.ndarray) -> None:
-    """Add the distinct rows of an (s, 3) int64 array to voxels as tuples.
+def _distinct_block(floored: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Distinct rows, lexicographically sorted, of the (3, s) floored planes
+    whose per-axis minima and maxima are low and high, all integral and
+    inside int64; (V, 3) int64.
 
-    One sort of linear codes offset by the rows' minimum per axis; rows
-    whose codes would overflow int64 take the exact np.unique(axis=0).
+    One sort of linear codes over the block's extent, computed in float64
+    from the planes: exact while the extent holds at most 2 ** 53 codes,
+    since every partial sum is then an integer below 2 ** 53. Wider blocks
+    take _distinct_rows on int64 rows.
     """
-    # Per column: a reduction along axis 0 of (s, 3) is ~10x slower.
-    lo = [int(idx[:, a].min()) for a in range(3)]
-    ext = [int(idx[:, a].max()) - lo[a] + 1 for a in range(3)]
-    if ext[0] * ext[1] * ext[2] > np.iinfo(np.int64).max:
-        voxels.update(map(tuple, np.unique(idx, axis=0).tolist()))
-        return
-    rel = idx - lo
-    codes = (rel[:, 0] * ext[1] + rel[:, 1]) * ext[2] + rel[:, 2]
-    # Sorted distinct codes; np.unique hashes integer input and took ~6x as
-    # long on blocks of 8k codes (numpy 2.4).
+    lo = [int(v) for v in low]
+    ext = [int(h) - v + 1 for h, v in zip(high, lo)]
+    if ext[0] * ext[1] * ext[2] > _FLOAT_EXACT:
+        return _distinct_rows(floored.T.astype(np.int64))
+    codes = floored[0] - low[0]
+    codes *= ext[1]
+    codes += floored[1] - low[1]
+    codes *= ext[2]
+    codes += floored[2] - low[2]
     codes.sort()
-    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-    k = codes % ext[2] + lo[2]
-    codes //= ext[2]
-    j = codes % ext[1] + lo[1]
-    i = codes // ext[1] + lo[0]
-    voxels.update(zip(i.tolist(), j.tolist(), k.tolist()))
+    return _decode(_sorted_distinct(codes).astype(np.int64), lo, ext)
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """Distinct rows of an (s, 3) int64 array, lexicographically sorted.
+
+    One sort of int64 linear codes over the rows' extent; rows whose codes
+    would overflow int64 take the exact np.unique(axis=0).
+    """
+    if not len(rows):
+        return np.empty((0, 3), dtype=np.int64)
+    lo, ext = _extent(rows)
+    if ext[0] * ext[1] * ext[2] > _INT64_MAX:
+        return np.unique(rows, axis=0)
+    # np.unique hashes integer input and took ~6x as long as a sort on
+    # blocks of 8k codes (numpy 2.4).
+    codes = _encode(rows, lo, ext)
+    codes.sort()
+    return _decode(_sorted_distinct(codes), lo, ext)
+
+
+def _extent(rows: np.ndarray) -> tuple[list[int], list[int]]:
+    """Per-axis minimum and number of values spanned of (s, 3) int64 rows."""
+    # Per column: a reduction along axis 0 of (s, 3) is ~10x slower.
+    lo = [int(rows[:, a].min()) for a in range(3)]
+    return lo, [int(rows[:, a].max()) - lo[a] + 1 for a in range(3)]
+
+
+# _encode and _decode work column by column: numpy's broadcasts over an
+# inner axis of length 3, and its int64 %, are several times slower.
+
+def _encode(rows: np.ndarray, lo: list[int], ext: list[int]) -> np.ndarray:
+    """Linear int64 codes of rows inside the extent (lo, ext), in lexicographic order."""
+    codes = rows[:, 0] - lo[0]
+    codes *= ext[1]
+    codes += rows[:, 1] - lo[1]
+    codes *= ext[2]
+    codes += rows[:, 2] - lo[2]
+    return codes
+
+
+def _decode(codes: np.ndarray, lo: list[int], ext: list[int]) -> np.ndarray:
+    """The (V, 3) int64 rows of _encode's codes."""
+    out = np.empty((len(codes), 3), dtype=np.int64)
+    high = codes // ext[2]
+    out[:, 2] = codes - high * ext[2] + lo[2]
+    out[:, 0] = high // ext[1]
+    out[:, 1] = high - out[:, 0] * ext[1] + lo[1]
+    out[:, 0] += lo[0]
+    return out
+
+
+def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted 1-D array."""
+    keep = np.empty(len(codes), dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
 
 
 def dsc(a: VoxelSet, b: VoxelSet) -> float:
-    """Dice similarity coefficient 2|a & b| / (|a| + |b|)."""
-    if not a and not b:
+    """Dice similarity coefficient 2|a & b| / (|a| + |b|).
+
+    The overlap is counted on int64 codes over the joint extent of both
+    sets, or, where those would overflow int64, by np.unique(axis=0) on
+    both sets' rows.
+    """
+    if not len(a) and not len(b):
         raise BothEmpty("dice of two empty voxel sets is undefined")
-    return 2.0 * len(a & b) / (len(a) + len(b))
+    if not len(a) or not len(b):
+        return 0.0
+    both = np.concatenate((a.rows, b.rows))
+    lo, ext = _extent(both)
+    if ext[0] * ext[1] * ext[2] > _INT64_MAX:
+        common = len(both) - len(np.unique(both, axis=0))
+    else:
+        common = len(np.intersect1d(_encode(a.rows, lo, ext), _encode(b.rows, lo, ext),
+                                    assume_unique=True))
+    return 2.0 * common / (len(a) + len(b))

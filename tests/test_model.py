@@ -17,10 +17,10 @@ from tractodist.model import (
     BundleRef,
     Streamline,
     Tractogram,
+    _interpolate,
     arc_lengths,
     build_streamline,
     flip,
-    points_at_arc_lengths,
     resample,
     resample_stack,
 )
@@ -178,14 +178,15 @@ def test_resample_stack_empty_and_bad_counts():
             resample_stack([s], m)
 
 
-def test_points_at_arc_lengths_is_bit_identical_to_per_streamline():
+def test_interpolate_one_row_is_bit_identical_to_per_streamline():
     rng = np.random.default_rng(42)
     for s in _mixed_pool(rng)[:200]:
-        total = arc_lengths(s.points)[-1]
+        p = s.points
+        cum = arc_lengths(p)
         # voxelize's positions, plus some outside [0, total] to be clipped
-        ts = np.append(np.arange(0.0, total, 0.625), [total, -1.0, total + 1.0])
-        assert np.array_equal(points_at_arc_lengths(s.points, ts),
-                              naive_points_at_arc_lengths(s.points, ts))
+        ts = np.append(np.arange(0.0, cum[-1], 0.625), [cum[-1], -1.0, cum[-1] + 1.0])
+        got = _interpolate(p[None], cum[None], np.array([len(p) - 1]), ts[None])[0]
+        assert np.array_equal(got, naive_points_at_arc_lengths(p, ts))
 
 
 def test_flip_reverses_and_roundtrips():

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import naive_nearest, random_streamline
+from conftest import naive_nearest, naive_points_at_arc_lengths, random_streamline
 from tractodist.ann import KdTree
 from tractodist.bench import default_benchmark_subjects
 from tractodist.distances import MC, distance, distance_matrix, mdf
@@ -21,11 +22,11 @@ from tractodist.model import (
     Tractogram,
     arc_lengths,
     build_streamline,
-    points_at_arc_lengths,
 )
 from tractodist.synth import random_smooth_curve
 from tractodist.segmentation import (
     VoxelGrid,
+    VoxelSet,
     dsc,
     prepare_target,
     segment,
@@ -243,7 +244,7 @@ def test_voxelize_union_is_union_of_parts():
     whole = voxelize(BundleRef(t, range(4)), t, grid)
     parts = set()
     for i in range(4):
-        parts |= voxelize(BundleRef(t, [i]), t, grid)
+        parts.update(voxelize(BundleRef(t, [i]), t, grid))
     assert whole == parts
 
 
@@ -257,6 +258,12 @@ def test_voxel_grid_validates():
         VoxelGrid(voxel_size=0.0)
     with pytest.raises(InvalidSpec):
         VoxelGrid(voxel_size=-1.0)
+
+
+@pytest.mark.parametrize("origin", [(0, 0), (math.nan, 0.0, 0.0), (0.0, -math.inf, 0.0)])
+def test_voxel_grid_rejects_an_origin_other_than_three_finite_numbers(origin):
+    with pytest.raises(InvalidSpec, match=r"origin .*" + re.escape(repr(origin))):
+        VoxelGrid(origin=origin)
 
 
 def test_voxel_grid_rejects_non_finite_sizes():
@@ -295,7 +302,7 @@ def reference_voxelize(bundle, tractogram, grid):
                               f"{segmentation.MAX_VOXEL_SAMPLES} samples at voxel size "
                               f"{grid.voxel_size:g} mm")
         ts = np.append(np.arange(0.0, total, step), total)
-        floored = np.floor((points_at_arc_lengths(pts, ts) - origin) / grid.voxel_size)
+        floored = np.floor((naive_points_at_arc_lengths(pts, ts) - origin) / grid.voxel_size)
         if not ((floored >= -2.0 ** 63) & (floored < 2.0 ** 63)).all():
             raise InvalidSpec(f"streamline {i} reaches a voxel index outside int64 "
                               f"at voxel size {grid.voxel_size:g} mm")
@@ -340,14 +347,37 @@ def test_blocked_voxelize_far_apart_streamlines_take_the_exact_fallback():
     assert voxelize(bundle, t, grid) == expected
 
 
-def test_add_distinct_is_exact_at_the_int64_extremes():
+def test_distinct_rows_is_exact_at_the_int64_extremes():
     lo, hi = -2 ** 63, 2 ** 63 - 1
     for rows in ([[lo, 0, 0], [hi, 0, 0], [lo, 0, 0], [0, hi, lo]],  # codes overflow
                  [[lo, 7, -1], [lo + 5, 7, -1], [lo, 7, -1]],  # codes fit
                  [[hi, hi, hi], [hi, hi, hi]]):
-        voxels = {(1, 2, 3)}
-        segmentation._add_distinct(voxels, np.array(rows, dtype=np.int64))
-        assert voxels == {(1, 2, 3)} | {tuple(r) for r in rows}
+        got = segmentation._distinct_rows(np.array(rows, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == sorted(map(list, {tuple(r) for r in rows}))
+        assert VoxelSet([(1, 2, 3), *rows]) == {(1, 2, 3)} | {tuple(r) for r in rows}
+
+
+@pytest.mark.parametrize("rows, float_codes", [
+    # Extent 2 x 1 x 2**52: the largest code is 2**53 - 1, exact in float64.
+    ([[0, 0, 0], [1, 0, 2 ** 52 - 1], [1, 0, 2 ** 52 - 2], [1, 0, 2 ** 52 - 1]], True),
+    # Extent 2 x 1 x (2**52 + 1): the last two rows would code to 2**53 + 1
+    # and 2**53, one float64, so the block must take the int64 codes.
+    ([[0, 0, 0], [1, 0, 2 ** 52], [1, 0, 2 ** 52 - 1]], False),
+    # Far from the origin, where float64 steps by 1024: relative codes stay exact.
+    ([[-2 ** 62, 5, -7], [-2 ** 62 + 1024, 5, -7], [-2 ** 62, 5, -7]], True),
+    # Extent past int64: np.unique(axis=0).
+    ([[-2 ** 63, 0, 0], [2 ** 62, 0, 0], [2 ** 62, 0, 0], [0, 2 ** 62, -2 ** 63]], False),
+])
+def test_distinct_block_codes_in_float64_up_to_2_53(monkeypatch, rows, float_codes):
+    calls = []
+    exact = segmentation._distinct_rows
+    monkeypatch.setattr(segmentation, "_distinct_rows", lambda r: calls.append(r) or exact(r))
+    planes = np.array(rows, dtype=np.float64).T.copy()
+    got = segmentation._distinct_block(planes, planes.min(axis=1), planes.max(axis=1))
+    assert got.dtype == np.int64
+    assert got.tolist() == sorted(map(list, {tuple(r) for r in rows}))
+    assert len(calls) == (0 if float_codes else 1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -400,16 +430,48 @@ def test_voxelize_reports_the_first_bad_streamline_in_bundle_order(monkeypatch, 
 # ---------------------------------------------------------------------------
 
 def test_dsc_identical_and_disjoint():
-    a = {(0, 0, 0), (1, 0, 0)}
-    assert dsc(a, set(a)) == 1.0
-    assert dsc(a, {(9, 9, 9)}) == 0.0
+    a = VoxelSet({(0, 0, 0), (1, 0, 0)})
+    assert dsc(a, VoxelSet(set(a))) == 1.0
+    assert dsc(a, VoxelSet({(9, 9, 9)})) == 0.0
 
 
 def test_dsc_closed_form():
-    a = {(i, 0, 0) for i in range(4)}
-    b = {(i, 0, 0) for i in range(2, 8)}
+    a = VoxelSet({(i, 0, 0) for i in range(4)})
+    b = VoxelSet({(i, 0, 0) for i in range(2, 8)})
     # |a & b| = 2, |a| = 4, |b| = 6
     assert dsc(a, b) == pytest.approx(2 * 2 / (4 + 6), rel=1e-12)
+
+
+def test_dsc_equals_the_python_set_oracle():
+    rng = np.random.default_rng(93)
+    pairs = [tuple({tuple(r) for r in rng.integers(-4, 5, size=(rng.integers(1, 40), 3)).tolist()}
+                   for _ in range(2))
+             for _ in range(30)]
+    # Joint extent 2**64 on the first axis: the overlap takes np.unique(axis=0).
+    far = ({(-2 ** 63, 0, 0), (0, 0, 0), (5, 5, 5)},
+           {(2 ** 63 - 1, 0, 0), (0, 0, 0), (0, 2 ** 62, -2 ** 62)})
+    assert max(v[0] for v in far[1]) - min(v[0] for v in far[0]) + 1 > np.iinfo(np.int64).max
+    for a, b in pairs + [far, far[::-1], (far[0], far[0])]:
+        assert dsc(VoxelSet(a), VoxelSet(b)) == 2 * len(a & b) / (len(a) + len(b))
+
+
+def test_voxel_set_equals_python_sets_from_either_side():
+    tuples = {(0, 0, 0), (-3, 2, 1), (2 ** 40, -1, 7)}
+    v = VoxelSet(sorted(tuples, reverse=True) + [(0, 0, 0)])
+    assert len(v) == 3
+    assert v == tuples and tuples == v
+    assert v == frozenset(tuples) and frozenset(tuples) == v
+    assert v == VoxelSet(tuples)
+    assert v.rows.dtype == np.int64 and v.rows.tolist() == sorted(map(list, tuples))
+    assert not v.rows.flags.writeable
+    assert all(type(i) is int for voxel in v for i in voxel)
+    assert set(v) == tuples
+    other = {(0, 0, 0), (-3, 2, 1), (2 ** 40, -1, 8)}
+    assert len(other) == len(v)
+    assert v != other and other != v
+    assert not v == other and not other == v
+    assert v != VoxelSet(other)
+    assert VoxelSet() == set() and len(VoxelSet()) == 0
 
 
 def test_dsc_one_empty_is_zero():
