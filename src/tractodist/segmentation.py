@@ -49,7 +49,6 @@ MAX_VOXEL_SAMPLES = 2 ** 20
 _VOXEL_BLOCK_SAMPLES = 8192
 _INT64_BOUND = 2.0 ** 63  # int64 holds exactly the integral floats in [-bound, bound)
 _INT64_MAX = np.iinfo(np.int64).max
-_FLOAT_EXACT = 2 ** 53  # float64 holds every integer in [0, 2 ** 53]
 
 
 @dataclass(frozen=True)
@@ -275,42 +274,20 @@ def voxelize(bundle: BundleRef, tractogram: Tractogram, grid: VoxelGrid) -> Voxe
                 with np.errstate(over="ignore"):
                     seg /= grid.voxel_size
             np.floor(floored, out=floored)
-            low, high = floored.min(axis=1), floored.max(axis=1)
-            if not (low.min() >= -_INT64_BOUND and high.max() < _INT64_BOUND):
+            if not (floored.min() >= -_INT64_BOUND and floored.max() < _INT64_BOUND):
                 inside = ((floored >= -_INT64_BOUND) & (floored < _INT64_BOUND)).all(axis=0)
                 first = int(np.argmin(inside.reshape(b.stop - r, -1).all(axis=1)))
                 raise InvalidSpec(f"streamline {ids[r + first]} reaches a voxel "
                                   f"index outside int64 at voxel size {grid.voxel_size:g} mm")
-            blocks.append(_distinct_block(floored, low, high))
+            # Cast, then transpose: _distinct_rows reads its rows column by
+            # column, and these columns are the contiguous planes.
+            blocks.append(_distinct_rows(floored.astype(np.int64).T))
         if walked < len(ids):
             raise InvalidSpec(f"streamline {ids[walked]} ({cum[walked, -1]:.6g} mm) needs more than "
                               f"{MAX_VOXEL_SAMPLES} samples at voxel size {grid.voxel_size:g} mm")
     if valid < len(indices):
         raise IndexOutOfRange(f"bundle index {indices[valid]} not in tractogram of size {n}")
     return VoxelSet(np.concatenate(blocks))
-
-
-def _distinct_block(floored: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """Distinct rows, lexicographically sorted, of the (3, s) floored planes
-    whose per-axis minima and maxima are low and high, all integral and
-    inside int64; (V, 3) int64.
-
-    One sort of linear codes over the block's extent, computed in float64
-    from the planes: exact while the extent holds at most 2 ** 53 codes,
-    since every partial sum is then an integer below 2 ** 53. Wider blocks
-    take _distinct_rows on int64 rows.
-    """
-    lo = [int(v) for v in low]
-    ext = [int(h) - v + 1 for h, v in zip(high, lo)]
-    if ext[0] * ext[1] * ext[2] > _FLOAT_EXACT:
-        return _distinct_rows(floored.T.astype(np.int64))
-    codes = floored[0] - low[0]
-    codes *= ext[1]
-    codes += floored[1] - low[1]
-    codes *= ext[2]
-    codes += floored[2] - low[2]
-    codes.sort()
-    return _decode(_sorted_distinct(codes).astype(np.int64), lo, ext)
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:

@@ -358,28 +358,6 @@ def test_distinct_rows_is_exact_at_the_int64_extremes():
         assert VoxelSet([(1, 2, 3), *rows]) == {(1, 2, 3)} | {tuple(r) for r in rows}
 
 
-@pytest.mark.parametrize("rows, float_codes", [
-    # Extent 2 x 1 x 2**52: the largest code is 2**53 - 1, exact in float64.
-    ([[0, 0, 0], [1, 0, 2 ** 52 - 1], [1, 0, 2 ** 52 - 2], [1, 0, 2 ** 52 - 1]], True),
-    # Extent 2 x 1 x (2**52 + 1): the last two rows would code to 2**53 + 1
-    # and 2**53, one float64, so the block must take the int64 codes.
-    ([[0, 0, 0], [1, 0, 2 ** 52], [1, 0, 2 ** 52 - 1]], False),
-    # Far from the origin, where float64 steps by 1024: relative codes stay exact.
-    ([[-2 ** 62, 5, -7], [-2 ** 62 + 1024, 5, -7], [-2 ** 62, 5, -7]], True),
-    # Extent past int64: np.unique(axis=0).
-    ([[-2 ** 63, 0, 0], [2 ** 62, 0, 0], [2 ** 62, 0, 0], [0, 2 ** 62, -2 ** 63]], False),
-])
-def test_distinct_block_codes_in_float64_up_to_2_53(monkeypatch, rows, float_codes):
-    calls = []
-    exact = segmentation._distinct_rows
-    monkeypatch.setattr(segmentation, "_distinct_rows", lambda r: calls.append(r) or exact(r))
-    planes = np.array(rows, dtype=np.float64).T.copy()
-    got = segmentation._distinct_block(planes, planes.min(axis=1), planes.max(axis=1))
-    assert got.dtype == np.int64
-    assert got.tolist() == sorted(map(list, {tuple(r) for r in rows}))
-    assert len(calls) == (0 if float_codes else 1)
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("lines, voxel_size, message", [
     # floor(±1e30 / 1.25) is no int64; a cast wraps both to -2**63.
