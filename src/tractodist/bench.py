@@ -44,7 +44,7 @@ from .synth import (
     SyntheticSubject,
     generate_subject,
     perturb_subject,
-    random_smooth_curve,
+    random_smooth_curves,
 )
 
 log = logging.getLogger(__name__)
@@ -109,9 +109,8 @@ def timing_pool(
 ) -> list[Streamline]:
     """Random smooth curves with realistic point counts for timing runs."""
     rng = np.random.default_rng([seed, 0x74696D65])
-    lo = np.zeros(3)
-    hi = np.full(3, box_mm)
-    return [random_smooth_curve(rng, lo, hi, points_range) for _ in range(pool_size)]
+    return list(random_smooth_curves(rng, np.zeros(3), np.full(3, box_mm), points_range,
+                                     pool_size))
 
 
 def run_timing(

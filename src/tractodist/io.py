@@ -83,14 +83,17 @@ def write_atomic(path, data: bytes) -> None:
 
 
 class _Cursor:
-    """Sequential reader that fails with TruncatedFile instead of slicing short."""
+    """Sequential reader that fails with TruncatedFile instead of slicing short.
+
+    Pieces are memoryviews of data: taking one copies nothing.
+    """
 
     def __init__(self, data: bytes, error=TruncatedFile):
-        self.data = data
+        self.data = memoryview(data)
         self.off = 0
         self.error = error
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.off + n > len(self.data):
             raise self.error(f"file ends inside {what}")
         piece = self.data[self.off:self.off + n]
@@ -261,7 +264,7 @@ def read_embedding(path) -> EmbeddedTractogram:
         raise HeaderMismatch(f"{path}: not an EMBD file")
     (klen,) = struct.unpack("<H", cur.take(2, "kind length"))
     try:
-        kind = parse_kind(cur.take(klen, "kind string").decode("utf-8"))
+        kind = parse_kind(str(cur.take(klen, "kind string"), "utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise HeaderMismatch(f"{path}: bad kind string: {exc}") from exc
     (d,) = struct.unpack("<I", cur.take(4, "prototype count"))
@@ -276,6 +279,7 @@ def read_embedding(path) -> EmbeddedTractogram:
     payload = cur.take(8 * d * n_rows, "embedding matrix")
     if cur.remaining():
         raise HeaderMismatch(f"{path}: {cur.remaining()} trailing byte(s)")
+    # A read-only view of the file's bytes, which EmbeddedTractogram keeps.
     vectors = np.frombuffer(payload, dtype="<f8").reshape(n_rows, d)
     # Entries are distances. Up to this bound, a squared distance between
     # two rows stays below a quarter of the float64 maximum, so the k-d
@@ -284,7 +288,7 @@ def read_embedding(path) -> EmbeddedTractogram:
     if not (vectors.min() >= 0 and vectors.max() <= bound):
         raise HeaderMismatch(f"{path}: embedding entries must be distances in [0, {bound:.3g}]")
     protos = PrototypeSet(indices=tuple(int(i) for i in indices), kind=kind)
-    return EmbeddedTractogram(vectors.astype(np.float64), protos, kind)
+    return EmbeddedTractogram(vectors, protos, kind)
 
 
 # Rows of a reused EMBD recomputed against the target. An EMBD built from

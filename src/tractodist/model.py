@@ -205,7 +205,12 @@ def arc_lengths(points: np.ndarray) -> np.ndarray:
     points is (..., n, 3); leading axes hold independent polylines.
     """
     seg = np.diff(points, axis=-2)
-    seglen = np.sqrt((seg * seg).sum(axis=-1))
+    seg *= seg
+    # x + y + z summed left to right, as .sum(axis=-1) sums them, bit for
+    # bit: numpy's reductions over a length-3 axis are several times slower.
+    seglen = seg[..., 0] + seg[..., 1]
+    seglen += seg[..., 2]
+    np.sqrt(seglen, out=seglen)
     out = np.zeros(points.shape[:-1])
     np.cumsum(seglen, axis=-1, out=out[..., 1:])
     return out
@@ -276,12 +281,36 @@ def _pad_polylines(t: Tractogram, ids: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _resample_padded(points: np.ndarray, last: np.ndarray, m: int) -> np.ndarray:
-    """resample() on padded polylines as _interpolate takes them; (b, m, 3)."""
+    """resample_stack's block: each of the padded polylines resampled to m
+    points, as _resample_rows does it; (b, m, 3)."""
     cum = arc_lengths(points)
     out = _interpolate(points, cum, last, np.linspace(0.0, cum[:, -1], m, axis=1))
     out[:, 0] = points[:, 0]
     out[:, -1] = points[:, -1]
     return out
+
+
+def _resample_rows(points: np.ndarray, last: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """resample() on padded polylines as _interpolate takes them, row r to
+    m[r] points; the rows' samples back to back, (m.sum(), 3).
+
+    Row r's positions are np.linspace(0, total, m[r]) as linspace computes
+    them: i * (total / (m[r] - 1)), and total itself last. Its other
+    formula, for a step that underflows to 0, gives the same zeros here: a
+    total above 0 is at least sqrt(5e-324) ~ 2e-162, so at any point count
+    that fits in memory only a total of 0 has a step of 0.
+    """
+    cum = arc_lengths(points)
+    total = cum[:, -1:]
+    div = (m - 1)[:, None].astype(np.float64)
+    i = np.arange(m.max(), dtype=np.float64)
+    # Past its last position a row's samples are dropped below.
+    ts = np.where(i < div, i * (total / div), total)
+    out = _interpolate(points, cum, last, ts)
+    rows = np.arange(len(m))
+    out[:, 0] = points[:, 0]
+    out[rows, m - 1] = points[rows, last]
+    return out[i < m[:, None]]
 
 
 def _check_resample_count(m) -> int:
@@ -290,7 +319,8 @@ def _check_resample_count(m) -> int:
     return int(m)
 
 
-# Streamlines per _pad_polylines call, in resample_stack and voxelize.
+# Streamlines per _pad_polylines call, in resample_stack and voxelize, and
+# per block that synth builds.
 # Resampling 10k streamlines takes the same time with blocks of 32 to 256,
 # but the transient arrays of a 256 block raised the peak RSS of the
 # benchmark's paper200 workload by 1.2 MB (1.6%); blocks of 64 keep it flat.
@@ -325,10 +355,8 @@ def resample(s: Streamline, m: int) -> Streamline:
     """
     m = _check_resample_count(m)
     p = s.points
-    out = _resample_padded(p[None], np.array([len(p) - 1]), m)
-    # A copy owns its memory; a view of out would cost every streamline a
-    # second array header (~1.5 MB for a 10k-streamline synthetic subject).
-    return Streamline._from_valid(out[0].copy())
+    return Streamline._from_valid(_resample_rows(p[None], np.array([len(p) - 1]),
+                                                 np.array([m])))
 
 
 def flip(s: Streamline) -> Streamline:

@@ -14,7 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpec, TractodistError
-from .model import BundleRef, Streamline, Tractogram, build_streamline, resample
+from .model import (
+    _PAD_ROWS,
+    BundleRef,
+    Streamline,
+    Tractogram,
+    _distinct_mask,
+    _resample_rows,
+    build_streamline,
+    resample,
+)
 
 CENTERLINE_SAMPLES = 128
 NOISE_CURVE_SAMPLES = 64
@@ -161,30 +170,38 @@ def generate_subject(
         raise InvalidSpec(f"the spec may need {worst + noise_streamline_count * top} points, "
                           f"more than the {MAX_TOTAL_POINTS} synth builds")
 
-    streamlines: list[Streamline] = []
-    membership: dict[str, list[int]] = {}
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (points, counts)
+    membership: dict[str, range] = {}
+    n = 0
     for ordinal, (name, spec) in enumerate(specs.items()):
         rng = np.random.default_rng([global_seed, spec.rng_seed, ordinal])
         dense = evaluate_centerline(spec.centerline)
+        sigma = spec.radial_jitter_sigma
         lo, hi = spec.points_range
-        idx = []
-        for _ in range(spec.streamline_count):
-            offset = rng.normal(0.0, spec.radial_jitter_sigma, 3)
-            noise = rng.normal(0.0, spec.radial_jitter_sigma / 10.0, dense.shape)
-            n_points = int(rng.integers(lo, hi + 1))
-            s = resample(build_streamline(dense + offset + noise), n_points)
-            idx.append(len(streamlines))
-            streamlines.append(s)
-        membership[name] = idx
+        for b in _block_sizes(spec.streamline_count):
+            # Each streamline's draws, in the order of the one-at-a-time
+            # recipe: its integers between two streamlines' normals keep
+            # numpy from drawing the block's normals in one call.
+            offset, noise = np.empty((b, 1, 3)), np.empty((b, *dense.shape))
+            counts = np.empty(b, dtype=np.int64)
+            for r in range(b):
+                offset[r] = rng.normal(0.0, sigma, 3)
+                noise[r] = rng.normal(0.0, sigma / 10.0, dense.shape)
+                counts[r] = rng.integers(lo, hi + 1)
+            raw = dense + offset
+            raw += noise
+            blocks.append(_build_block(raw, counts))
+        membership[name] = range(n, n + spec.streamline_count)
+        n += spec.streamline_count
 
     if noise_streamline_count:
-        box_lo, box_hi = _bounding_box(streamlines)
+        box_lo = np.min([p.min(axis=0) for p, _ in blocks], axis=0)
+        box_hi = np.max([p.max(axis=0) for p, _ in blocks], axis=0)
         rng = np.random.default_rng([global_seed, 0x6E6F69])
         lo = min(s.points_range[0] for s in specs.values())
-        for _ in range(noise_streamline_count):
-            streamlines.append(random_smooth_curve(rng, box_lo, box_hi, (lo, top)))
+        blocks += _smooth_curve_blocks(rng, box_lo, box_hi, (lo, top), noise_streamline_count)
 
-    tractogram = Tractogram(streamlines)
+    tractogram = _store(blocks)
     truth = {name: BundleRef(tractogram, idx, name=name) for name, idx in membership.items()}
     return SyntheticSubject(tractogram=tractogram, truth=truth)
 
@@ -228,20 +245,66 @@ def random_smooth_curve(
     points_range (inclusive). Used for noise streamlines and for timing
     pools of realistic unstructured curves.
     """
-    ctrl = rng.uniform(box_lo, box_hi, (4, 3))
-    curve = _cubic_bezier(ctrl, NOISE_CURVE_SAMPLES)
-    n_points = int(rng.integers(points_range[0], points_range[1] + 1))
-    return resample(build_streamline(curve), n_points)
+    return random_smooth_curves(rng, box_lo, box_hi, points_range, 1)[0]
 
 
-def _bounding_box(streamlines: list[Streamline]) -> tuple[np.ndarray, np.ndarray]:
-    los = np.min([s.points.min(axis=0) for s in streamlines], axis=0)
-    his = np.max([s.points.max(axis=0) for s in streamlines], axis=0)
-    return los, his
+def random_smooth_curves(
+    rng: np.random.Generator,
+    box_lo,
+    box_hi,
+    points_range: tuple[int, int],
+    count: int,
+) -> Tractogram:
+    """count random_smooth_curve calls on rng, built a block at a time."""
+    return _store(list(_smooth_curve_blocks(rng, box_lo, box_hi, points_range, count)))
+
+
+def _block_sizes(count: int) -> list[int]:
+    """count streamlines as blocks of at most _PAD_ROWS, as resample_stack pads them."""
+    return [min(_PAD_ROWS, count - lo) for lo in range(0, count, _PAD_ROWS)]
+
+
+def _smooth_curve_blocks(rng, box_lo, box_hi, points_range, count):
+    """random_smooth_curve's curves, count of them, as _build_block blocks."""
+    for b in _block_sizes(count):
+        ctrl = np.empty((b, 4, 3))
+        counts = np.empty(b, dtype=np.int64)
+        for r in range(b):
+            ctrl[r] = rng.uniform(box_lo, box_hi, (4, 3))
+            counts[r] = rng.integers(points_range[0], points_range[1] + 1)
+        yield _build_block(_cubic_bezier(ctrl, NOISE_CURVE_SAMPLES), counts)
+
+
+def _build_block(raw: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """resample(build_streamline(raw[r]), counts[r]) for each polyline of
+    raw (b, n, 3): their points back to back, and counts.
+
+    Checks finiteness, distinct points and the counts for the whole block
+    at once, with the rules of Streamline construction and resample; the
+    first bad polyline raises its error through those two calls.
+    """
+    b, n = raw.shape[:2]
+    kept = _distinct_mask(raw.reshape(-1, 3), np.arange(0, b * n, n)).reshape(b, n).sum(axis=1)
+    bad = ~np.isfinite(raw).reshape(b, -1).all(axis=1) | (kept < 2) | (counts < 2)
+    if bad.any():
+        k = int(np.argmax(bad))
+        resample(build_streamline(raw[k]), counts[k])
+    # Collapsing duplicate points would move no sample: a repeated point adds
+    # a segment of length 0, which resampling passes over as it passes over
+    # resample_stack's padding. (Only a -0.0 repeating a 0.0 could differ,
+    # and these sums of draws and products never give -0.0.)
+    return _resample_rows(raw, np.full(b, n - 1), counts), counts
+
+
+def _store(blocks: list[tuple[np.ndarray, np.ndarray]]) -> Tractogram:
+    return Tractogram._from_counts(np.concatenate([np.empty((0, 3)), *(p for p, _ in blocks)]),
+                                   np.concatenate([np.empty(0, np.int64), *(c for _, c in blocks)]))
 
 
 def _cubic_bezier(ctrl: np.ndarray, samples: int) -> np.ndarray:
+    """Cubic Bezier curves of control points ctrl (b, 4, 3); (b, samples, 3)."""
     t = np.linspace(0.0, 1.0, samples)[:, None]
     u = 1.0 - t
-    return (u ** 3 * ctrl[0] + 3 * u ** 2 * t * ctrl[1]
-            + 3 * u * t ** 2 * ctrl[2] + t ** 3 * ctrl[3])
+    c0, c1, c2, c3 = (ctrl[:, None, j] for j in range(4))
+    return (u ** 3 * c0 + 3 * u ** 2 * t * c1
+            + 3 * u * t ** 2 * c2 + t ** 3 * c3)

@@ -19,7 +19,8 @@ from tractodist.errors import (
     NonFiniteCoordinate,
 )
 from tractodist.io import TRGX_MAGIC, TrgxFile, _Cursor
-from tractodist.model import Streamline, Tractogram, build_streamline
+from tractodist.model import BundleRef, Streamline, Tractogram, build_streamline, resample
+from tractodist.synth import NOISE_CURVE_SAMPLES, SyntheticSubject, evaluate_centerline
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +243,53 @@ def naive_read_trgx(path) -> TrgxFile:
         voxel_size=float(header[0]),
         origin=(float(header[1]), float(header[2]), float(header[3])),
     )
+
+
+# ---------------------------------------------------------------------------
+# Synthetic subject oracle (one streamline at a time)
+# ---------------------------------------------------------------------------
+
+def reference_random_smooth_curve(rng, box_lo, box_hi, points_range) -> Streamline:
+    """One random cubic Bezier curve, drawn, built and resampled on its own
+    (the library's former random_smooth_curve)."""
+    ctrl = rng.uniform(box_lo, box_hi, (4, 3))
+    t = np.linspace(0.0, 1.0, NOISE_CURVE_SAMPLES)[:, None]
+    u = 1.0 - t
+    curve = (u ** 3 * ctrl[0] + 3 * u ** 2 * t * ctrl[1]
+             + 3 * u * t ** 2 * ctrl[2] + t ** 3 * ctrl[3])
+    n_points = int(rng.integers(points_range[0], points_range[1] + 1))
+    return resample(build_streamline(curve), n_points)
+
+
+def reference_generate_subject(specs, noise_streamline_count=0,
+                               global_seed=0) -> SyntheticSubject:
+    """synth.generate_subject one streamline at a time: each one's draws,
+    build_streamline and resample in turn (the library's former loop)."""
+    top = max(s.points_range[1] for s in specs.values())
+    streamlines: list[Streamline] = []
+    membership: dict[str, list[int]] = {}
+    for ordinal, (name, spec) in enumerate(specs.items()):
+        rng = np.random.default_rng([global_seed, spec.rng_seed, ordinal])
+        dense = evaluate_centerline(spec.centerline)
+        lo, hi = spec.points_range
+        idx = []
+        for _ in range(spec.streamline_count):
+            offset = rng.normal(0.0, spec.radial_jitter_sigma, 3)
+            noise = rng.normal(0.0, spec.radial_jitter_sigma / 10.0, dense.shape)
+            n_points = int(rng.integers(lo, hi + 1))
+            s = resample(build_streamline(dense + offset + noise), n_points)
+            idx.append(len(streamlines))
+            streamlines.append(s)
+        membership[name] = idx
+
+    if noise_streamline_count:
+        box_lo = np.min([s.points.min(axis=0) for s in streamlines], axis=0)
+        box_hi = np.max([s.points.max(axis=0) for s in streamlines], axis=0)
+        rng = np.random.default_rng([global_seed, 0x6E6F69])
+        lo = min(s.points_range[0] for s in specs.values())
+        for _ in range(noise_streamline_count):
+            streamlines.append(reference_random_smooth_curve(rng, box_lo, box_hi, (lo, top)))
+
+    tractogram = Tractogram(streamlines)
+    truth = {name: BundleRef(tractogram, idx, name=name) for name, idx in membership.items()}
+    return SyntheticSubject(tractogram=tractogram, truth=truth)

@@ -322,6 +322,20 @@ def test_embd_roundtrip_lossless(tmp_path):
     np.testing.assert_array_equal(back.vectors, emb.vectors)
 
 
+def test_embd_read_views_the_file_bytes(tmp_path):
+    emb = small_embedding(kind=mdf(20), d=5)
+    path = tmp_path / "a.embd"
+    write_embedding(emb, path)
+    vectors = read_embedding(path).vectors
+    # No copy of the payload: a read-only view whose memory is the bytes read.
+    assert not vectors.flags.writeable and not vectors.flags.owndata
+    base = vectors
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base, memoryview) and len(base.obj) == path.stat().st_size
+    assert np.array_equal(vectors, emb.vectors)
+
+
 def test_embd_header_keeps_full_precision_param(tmp_path):
     # The header must keep every digit, or reloading would silently change
     # the kind; it is the kind's one string form.

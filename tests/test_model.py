@@ -142,6 +142,16 @@ def test_resample_stack_is_bit_identical_to_per_streamline(m):
         assert np.array_equal(resample(s, m).points, naive_resample(s.points, m))
 
 
+@pytest.mark.parametrize("m", [2, 3, 8, 20])
+def test_resample_is_bit_identical_to_per_streamline(m):
+    pool = _mixed_pool(np.random.default_rng(50 + m))
+    # Steps of a few subnormals, whose squares underflow: an arc length of 0,
+    # where linspace's step is 0 and it places the samples by another formula.
+    pool += [build_streamline([[0, 0, 0], [k * 5e-324, 0, 0]]) for k in (1, 3, 5)]
+    for s in pool:
+        assert np.array_equal(resample(s, m).points, naive_resample(s.points, m))
+
+
 @pytest.mark.parametrize("n", [0, 1, 601])
 def test_resample_stack_is_a_view_of_coordinate_planes(n):
     pool = _mixed_pool(np.random.default_rng(44))[:n]

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import naive_mc
+from conftest import naive_mc, reference_generate_subject, reference_random_smooth_curve
+from tractodist.bench import default_bundle_specs, timing_pool
 from tractodist.distances import d_mc, default_kinds
-from tractodist.errors import InvalidSpec
+from tractodist.errors import InvalidResampleCount, InvalidSpec, NonFiniteCoordinate
 from tractodist.model import Tractogram, build_streamline, resample
 from tractodist.segmentation import VoxelGrid, dsc, prepare_target, segment, voxelize
 from tractodist.synth import (
@@ -15,6 +16,7 @@ from tractodist.synth import (
     generate_subject,
     perturb_subject,
     random_smooth_curve,
+    random_smooth_curves,
 )
 
 
@@ -306,3 +308,94 @@ def test_random_smooth_curve_deterministic():
     a = random_smooth_curve(np.random.default_rng(7), (0, 0, 0), (9, 9, 9), (12, 12))
     b = random_smooth_curve(np.random.default_rng(7), (0, 0, 0), (9, 9, 9), (12, 12))
     np.testing.assert_array_equal(a.points, b.points)
+
+
+# ---------------------------------------------------------------------------
+# blocks of streamlines against the one-at-a-time recipe
+# ---------------------------------------------------------------------------
+
+POLYLINE = {"type": "polyline", "points": [[0, 0, 0], [10, 0, 0], [10, 10, 5]]}
+# Samples 3e-16 mm apart around (1, 1, 0) round to a few floats: consecutive
+# duplicates that construction collapses, so the block pads its rows.
+TINY_ARC = {"type": "arc", "center": (1.0, 1.0, 0.0), "radius": 3e-16, "axis": "z"}
+
+
+def assert_same_subject(got, want):
+    assert np.array_equal(got.tractogram.points, want.tractogram.points)
+    assert np.array_equal(got.tractogram.offsets, want.tractogram.offsets)
+    assert {k: r.indices for k, r in got.truth.items()} == \
+        {k: r.indices for k, r in want.truth.items()}
+
+
+@pytest.mark.parametrize("specs, noise", [
+    (default_bundle_specs(50), 50),
+    (default_bundle_specs(300), 100),
+    (default_bundle_specs(3), 0),
+    ({"a": BundleSpec(POLYLINE, 63, 1.0), "b": BundleSpec(POLYLINE, 64, 0.5, (2, 9)),
+      "c": BundleSpec(POLYLINE, 65, 2.0, (40, 40)), "d": BundleSpec(POLYLINE, 1, 1.0)}, 65),
+    ({"flat": BundleSpec(POLYLINE, 70, 0.0, (5, 5)), "arc": arc_spec(radial_jitter_sigma=0.0)}, 64),
+    ({"tiny": BundleSpec(TINY_ARC, 66, 0.0, (3, 12))}, 1),
+], ids=["paper50", "bundles300", "no-noise", "block-edges", "zero-jitter", "collapsing"])
+@pytest.mark.parametrize("seed", [0, 42])
+def test_generate_subject_bit_identical_to_one_at_a_time(specs, noise, seed):
+    assert_same_subject(generate_subject(specs, noise, global_seed=seed),
+                        reference_generate_subject(specs, noise, global_seed=seed))
+
+
+def test_collapsing_case_collapses():
+    dense = evaluate_centerline(TINY_ARC)
+    same = (np.diff(dense, axis=0) == 0).all(axis=1)
+    assert same.any() and not same.all()
+
+
+def test_benchmark_10k_subject_bit_identical_to_one_at_a_time():
+    specs = default_bundle_specs(3000)
+    assert_same_subject(generate_subject(specs, 1000, global_seed=42),
+                        reference_generate_subject(specs, 1000, global_seed=42))
+
+
+def test_huge_jitter_raises_as_one_at_a_time():
+    specs = {"a": arc_spec(radial_jitter_sigma=1e308, streamline_count=70)}
+    first_five = {"a": arc_spec(radial_jitter_sigma=1e308, streamline_count=5)}
+    # Both sides overflow to inf before construction rejects the streamline.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteCoordinate) as want:
+            reference_generate_subject(specs)
+        with pytest.raises(NonFiniteCoordinate) as got:
+            generate_subject(specs)
+        # The sixth streamline, mid-block, is the first bad one; the five
+        # before it are built with the same bits.
+        kept = generate_subject(first_five).tractogram
+        assert kept.points.tobytes() == \
+            reference_generate_subject(first_five).tractogram.points.tobytes()
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("points_range", [(2, 2), (10, 14), (20, 100), (1, 3), (0, 4)])
+def test_random_smooth_curves_bit_identical_to_one_at_a_time(points_range):
+    lo, hi = np.array([-5.0, 0.0, 10.0]), np.array([5.0, 4.0, 30.0])
+    rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+    want, err = [], None
+    try:
+        for _ in range(130):
+            want.append(reference_random_smooth_curve(rng_a, lo, hi, points_range))
+    except InvalidResampleCount as exc:  # counts below 2, from the 130 draws
+        err = str(exc)
+    if err is None:
+        got = random_smooth_curves(rng_b, lo, hi, points_range, 130)
+        assert len(got) == 130
+        assert all(np.array_equal(got[i].points, w.points) for i, w in enumerate(want))
+        one = random_smooth_curve(np.random.default_rng(3), lo, hi, points_range)
+        assert np.array_equal(one.points, want[0].points)
+    else:
+        with pytest.raises(InvalidResampleCount, match=err):
+            random_smooth_curves(rng_b, lo, hi, points_range, 130)
+
+
+def test_timing_pool_bit_identical_to_one_at_a_time():
+    rng = np.random.default_rng([0, 0x74696D65])
+    want = [reference_random_smooth_curve(rng, np.zeros(3), np.full(3, 100.0), (20, 100))
+            for _ in range(600)]
+    got = timing_pool()
+    assert len(got) == 600
+    assert all(np.array_equal(g.points, w.points) for g, w in zip(got, want))
