@@ -316,7 +316,7 @@ def test_random_smooth_curve_deterministic():
 
 POLYLINE = {"type": "polyline", "points": [[0, 0, 0], [10, 0, 0], [10, 10, 5]]}
 # Samples 3e-16 mm apart around (1, 1, 0) round to a few floats: consecutive
-# duplicates that construction collapses, so the block pads its rows.
+# duplicates that construction collapses and a block resamples as they are.
 TINY_ARC = {"type": "arc", "center": (1.0, 1.0, 0.0), "radius": 3e-16, "axis": "z"}
 
 
