@@ -245,19 +245,11 @@ def _gauss_mean(pa: np.ndarray, pb: np.ndarray, sigma: float) -> float:
     return float(np.exp(-sq / (sigma * sigma)).mean())
 
 
-def pdm_inner(s_a: Streamline, s_b: Streamline, sigma: float) -> float:
-    """Mean Gaussian kernel value over all point pairs; in (0, 1]."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    return _gauss_mean(s_a.points, s_b.points, sigma)
-
-
 def d_pdm(s_a: Streamline, s_b: Streamline, sigma: float) -> float:
     """Kernel distance induced by the point-cloud Gaussian inner product."""
-    aa = pdm_inner(s_a, s_a, sigma)
-    bb = pdm_inner(s_b, s_b, sigma)
-    ab = pdm_inner(s_a, s_b, sigma)
-    return _kernel_distance(aa, bb, ab)
+    pa, pb = s_a.points, s_b.points
+    return _kernel_distance(_gauss_mean(pa, pa, sigma), _gauss_mean(pb, pb, sigma),
+                            _gauss_mean(pa, pb, sigma))
 
 
 def _segment_arrays(s: Streamline) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,20 +272,14 @@ def _var_inner(seg_a, seg_b, sigma: float) -> float:
     return float(w.sum())
 
 
-def varifolds_inner(s_a: Streamline, s_b: Streamline, sigma: float) -> float:
-    """Sum over segment pairs of Gaussian center proximity times squared
-    tangent alignment times segment lengths; always >= 0 and orientation
-    independent."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    return _var_inner(_segment_arrays(s_a), _segment_arrays(s_b), sigma)
-
-
 def d_varifolds(s_a: Streamline, s_b: Streamline, sigma: float) -> float:
     """Kernel distance on segment varifolds."""
-    aa = varifolds_inner(s_a, s_a, sigma)
-    bb = varifolds_inner(s_b, s_b, sigma)
-    ab = varifolds_inner(s_a, s_b, sigma)
+    # Fresh descriptors for each product: t @ t.T on one array takes BLAS's
+    # symmetric path, whose rounding differs from the general product that
+    # ab takes, and d(a, a) would not be 0.
+    aa = _var_inner(_segment_arrays(s_a), _segment_arrays(s_a), sigma)
+    bb = _var_inner(_segment_arrays(s_b), _segment_arrays(s_b), sigma)
+    ab = _var_inner(_segment_arrays(s_a), _segment_arrays(s_b), sigma)
     return _kernel_distance(aa, bb, ab)
 
 

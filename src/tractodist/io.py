@@ -319,8 +319,7 @@ def read_embedding_for(path, target: Tractogram, kind: DistanceKind,
         )
     rng = np.random.default_rng(seed)
     rows = np.sort(rng.choice(len(target), min(_CHECKED_ROWS, len(target)), replace=False))
-    protos = [target[j] for j in embedded.prototypes.indices]
-    fresh = distance_matrix(kind, [target[i] for i in rows], protos)
+    fresh = distance_matrix(kind, target.take(rows), target.take(embedded.prototypes.indices))
     if not np.allclose(fresh, embedded.vectors[rows], rtol=1e-9, atol=1e-9):
         raise HeaderMismatch(
             f"{path} rows {rows.tolist()} differ from the distances recomputed "

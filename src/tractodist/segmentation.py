@@ -29,8 +29,7 @@ from .model import (
     BundleRef,
     Tractogram,
     _pad_polylines,
-    _segment_fractions,
-    _segment_starts,
+    _sample,
     arc_lengths,
 )
 
@@ -193,8 +192,8 @@ def segment(
         )
 
     protos = target_embedded.prototypes
-    queries = distance_matrix(kind, example.streamlines(),
-                              [protos_source[j] for j in protos.indices])
+    queries = distance_matrix(kind, example.tractogram.take(example.indices),
+                              protos_source.take(protos.indices))
     ids, dists, _ = target_tree.nearest_many(queries)
     picks = ids.tolist()
     per_query = tuple(zip(example.indices, picks, dists.tolist()))
@@ -223,8 +222,8 @@ def voxelize(bundle: BundleRef, tractogram: Tractogram, grid: VoxelGrid) -> Voxe
     floor((p - origin) / voxel_size) per axis. A half-edge step cannot
     skip a voxel the sampled path passes through for longer than the step.
     Streamlines are walked in padded blocks, one coordinate plane at a
-    time, with the arithmetic of model._interpolate, so every sample is the
-    one-streamline walk's.
+    time, by model._sample, the walk that resampling uses, so every sample
+    is the one-streamline walk's.
 
     Raises IndexOutOfRange for an index past the tractogram, and
     InvalidSpec for a walk of more than MAX_VOXEL_SAMPLES samples or a
@@ -255,24 +254,12 @@ def voxelize(bundle: BundleRef, tractogram: Tractogram, grid: VoxelGrid) -> Voxe
             # row's end they repeat its end point.
             pos = np.arange(before[b].max() + 1)
             ts = np.where(pos < before[b, None], pos * step, cum[b, -1:])
-            ts, idx, start, seglen = _segment_starts(cum[b], last[b], ts)
-            frac = _segment_fractions(ts, start, seglen).ravel()
-            idx = idx.ravel()
-            nxt = idx + 1
-            floored = np.empty((3, idx.size))  # one row of samples per axis
-            for a in range(3):
-                # A 1-D take per plane: a row-major (b, k, 3) gather, transposed
-                # for the codes, made voxelize ~12% slower on 3,000-streamline
-                # bundles.
-                plane = planes[a, b].reshape(-1)
-                p0 = plane.take(idx)
-                seg = plane.take(nxt, out=floored[a])
-                seg -= p0
-                seg *= frac
-                seg += p0
-                seg -= origin[a]
-                with np.errstate(over="ignore"):
-                    seg /= grid.voxel_size
+            # One row of samples per axis.
+            floored = _sample(planes[:, b], cum[b], last[b], ts,
+                              np.empty((3, *ts.shape))).reshape(3, -1)
+            floored -= origin[:, None]
+            with np.errstate(over="ignore"):
+                floored /= grid.voxel_size
             np.floor(floored, out=floored)
             if not (floored.min() >= -_INT64_BOUND and floored.max() < _INT64_BOUND):
                 inside = ((floored >= -_INT64_BOUND) & (floored < _INT64_BOUND)).all(axis=0)

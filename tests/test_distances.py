@@ -24,6 +24,9 @@ from tractodist.distances import (
     MC,
     SC,
     DistanceKind,
+    _gauss_mean,
+    _segment_arrays,
+    _var_inner,
     d_lc,
     d_mc,
     d_mdf,
@@ -37,9 +40,7 @@ from tractodist.distances import (
     mdf_min_direct_flipped,
     parse_kind,
     pdm,
-    pdm_inner,
     varifolds,
-    varifolds_inner,
 )
 from tractodist.model import Tractogram, build_streamline, flip, resample_stack
 
@@ -205,7 +206,7 @@ def test_pdm_inner_double_sum():
     a = S([[0, 0, 0], [1, 0, 0]])
     expected = naive_pdm_inner(a.points, a.points, 1.0)
     assert expected == pytest.approx((1 + math.exp(-1)) / 2, rel=1e-12)
-    assert pdm_inner(a, a, 1.0) == pytest.approx(expected, rel=1e-9)
+    assert _gauss_mean(a.points, a.points, 1.0) == pytest.approx(expected, rel=1e-9)
 
 
 def test_pdm_point_pair_closed_form():
@@ -238,13 +239,17 @@ def test_pdm_self_distance_zero():
 # Varifolds
 # ---------------------------------------------------------------------------
 
+def var_inner(a, b, sigma):
+    return _var_inner(_segment_arrays(a), _segment_arrays(b), sigma)
+
+
 def test_var_inner_parallel_segments_closed_form():
     # Two parallel unit segments at center distance h: kernel weight alone.
     sigma, h = 42.0, 5.0
     a = S([[0, 0, 0], [1, 0, 0]])
     b = S([[0, h, 0], [1, h, 0]])
     expected = math.exp(-h * h / sigma ** 2)
-    assert varifolds_inner(a, b, sigma) == pytest.approx(expected, rel=1e-9)
+    assert var_inner(a, b, sigma) == pytest.approx(expected, rel=1e-9)
     assert naive_var_inner(a.points, b.points, sigma) == pytest.approx(expected, rel=1e-12)
 
 
@@ -261,7 +266,7 @@ def test_var_random_vs_oracle():
     for _ in range(15):
         a = random_streamline(rng, int(rng.integers(2, 10)))
         b = random_streamline(rng, int(rng.integers(2, 10)))
-        assert varifolds_inner(a, b, 42.0) == pytest.approx(
+        assert var_inner(a, b, 42.0) == pytest.approx(
             naive_var_inner(a.points, b.points, 42.0), rel=1e-9)
         assert d_varifolds(a, b, 42.0) == pytest.approx(
             naive_var(a.points, b.points, 42.0), rel=1e-9, abs=1e-12)
@@ -275,7 +280,7 @@ def test_var_orientation_invariance():
             d_varifolds(flip(a), b, 42.0), abs=1e-9)
         # Self-vs-flip sits under a square root of a cancelling difference,
         # so the achievable zero scales with sqrt of the inner product.
-        scale = math.sqrt(varifolds_inner(a, a, 42.0))
+        scale = math.sqrt(var_inner(a, a, 42.0))
         assert d_varifolds(a, flip(a), 42.0) <= 1e-6 * max(scale, 1.0)
 
 

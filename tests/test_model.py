@@ -7,6 +7,7 @@ from conftest import (
     naive_resample,
     random_streamline,
 )
+from tractodist.distances import d_mdf, distance_matrix, mdf
 from tractodist.errors import (
     FewerThanTwoDistinctPoints,
     InvalidResampleCount,
@@ -17,7 +18,7 @@ from tractodist.model import (
     BundleRef,
     Streamline,
     Tractogram,
-    _interpolate,
+    _sample,
     arc_lengths,
     build_streamline,
     flip,
@@ -134,12 +135,18 @@ def _mixed_pool(rng) -> list:
 @pytest.mark.parametrize("m", [2, 3, 12, 20, 32])
 def test_resample_stack_is_bit_identical_to_per_streamline(m):
     pool = _mixed_pool(np.random.default_rng(40 + m))
+    # Arc lengths of 0 in a block of positive ones: every row of the block
+    # keeps resample()'s positions.
+    pool += [build_streamline([[0, 0, 0], [k * 5e-324, 0, 0]]) for k in (1, 3, 5)]
     got = resample_stack(pool, m)
     assert got.shape == (len(pool), m, 3)
     expected = np.stack([naive_resample(s.points, m) for s in pool])
     assert np.array_equal(got, expected)
     for s in pool[:20]:
         assert np.array_equal(resample(s, m).points, naive_resample(s.points, m))
+    cols = pool[:2] + pool[-1:]
+    expected = [[d_mdf(a, b, m) for b in cols] for a in pool]
+    assert np.array_equal(distance_matrix(mdf(m), pool, cols), expected)
 
 
 @pytest.mark.parametrize("m", [2, 3, 8, 20])
@@ -195,8 +202,10 @@ def test_interpolate_one_row_is_bit_identical_to_per_streamline():
         cum = arc_lengths(p)
         # voxelize's positions, plus some outside [0, total] to be clipped
         ts = np.append(np.arange(0.0, cum[-1], 0.625), [cum[-1], -1.0, cum[-1] + 1.0])
-        got = _interpolate(p[None], cum[None], np.array([len(p) - 1]), ts[None])[0]
-        assert np.array_equal(got, naive_points_at_arc_lengths(p, ts))
+        planes = np.ascontiguousarray(p.T[:, None])
+        got = _sample(planes, cum[None], np.array([len(p) - 1]), ts[None],
+                      np.empty((3, 1, len(ts))))
+        assert np.array_equal(got[:, 0].T, naive_points_at_arc_lengths(p, ts))
 
 
 def test_flip_reverses_and_roundtrips():
