@@ -182,12 +182,6 @@ def _closest_row(pick, pa: np.ndarray, cols: Tractogram, j0: int) -> np.ndarray:
 # Minimum average direct-flip
 # ---------------------------------------------------------------------------
 
-def _planes(stack: np.ndarray) -> np.ndarray:
-    """(..., m, 3) points as C-contiguous (3, ..., m) coordinate planes; no
-    copy for a stack that resample_stack returned."""
-    return np.ascontiguousarray(np.moveaxis(stack, -1, 0))
-
-
 def _mdf_core(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """min(direct, flipped) mean pointwise distance of resampled streamlines.
 
@@ -224,7 +218,9 @@ def mdf_min_direct_flipped(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     step = max(1, _RUN_POINT_PAIRS // max(1, a.shape[1]))
     out = np.empty(n)
     for lo in range(0, n, step):
-        out[lo:lo + step] = _mdf_core(_planes(a[lo:lo + step]), _planes(b[lo:lo + step]))
+        # Views, not copies: a copy per chunk faults its pages in on every call.
+        out[lo:lo + step] = _mdf_core(np.moveaxis(a[lo:lo + step], -1, 0),
+                                      np.moveaxis(b[lo:lo + step], -1, 0))
     return out
 
 
@@ -313,7 +309,7 @@ def _prepare(kind: DistanceKind, t: Tractogram):
     """
     tag, param = kind.tag, kind.param
     if tag == "mdf":
-        return _planes(resample_stack(t, param))
+        return np.moveaxis(resample_stack(t, param), -1, 0)
     if tag == "pdm":
         return [(s.points, _gauss_mean(s.points, s.points, param)) for s in t]
     if tag == "var":

@@ -41,6 +41,7 @@ from .embedding import EmbeddedTractogram, PrototypeSet
 from .errors import (
     BadMagic,
     CountMismatch,
+    DataError,
     EmptyTractogram,
     HeaderMismatch,
     IndexOutOfRange,
@@ -48,7 +49,7 @@ from .errors import (
     NonFiniteCoordinate,
     TruncatedFile,
 )
-from .model import BundleRef, Tractogram, _distinct_mask, build_streamline
+from .model import BundleRef, Tractogram, _checked_rows
 from .segmentation import DEFAULT_VOXEL_SIZE
 
 TRGX_MAGIC = b"TRGX\x00\x00\x00\x01"
@@ -114,7 +115,8 @@ def write_tractogram(
     voxel_size: float = DEFAULT_VOXEL_SIZE,
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
 ) -> None:
-    """Write a tractogram as TRGX, quantizing coordinates to float32."""
+    """Write a tractogram as TRGX, quantizing coordinates to float32; what
+    read_tractogram would refuse raises its error and writes nothing."""
     if len(t) == 0:
         raise EmptyTractogram("refusing to write a tractogram with zero streamlines")
     with np.errstate(over="ignore"):  # overflow is detected and reported below
@@ -122,8 +124,10 @@ def write_tractogram(
         pts = t.points.astype("<f4")
     if not np.all(np.isfinite(header)):
         raise NonFiniteCoordinate("voxel_size/origin do not fit in finite float32")
-    if not np.all(np.isfinite(pts)):
-        raise NonFiniteCoordinate("coordinates overflow float32")
+    try:  # the rule the reader applies, on the points it will read
+        _checked_rows(pts, t.offsets[:-1])
+    except DataError as exc:
+        raise type(exc)(f"as float32: {exc}") from None
     # Each streamline's uint32 point count goes before its first coordinate.
     words = np.insert(pts.view("<u4").ravel(), 3 * t.offsets[:-1], np.diff(t.offsets))
     write_atomic(path, b"".join([TRGX_MAGIC, header.tobytes(), struct.pack("<Q", len(t)),
@@ -207,9 +211,8 @@ def _decode_block(data: bytes, offsets: list, counts: list, out: np.ndarray) -> 
     """Pass 2 on consecutive streamlines: their kept points go to the front
     of out, and their kept point counts are returned.
 
-    Checks finiteness and collapses consecutive duplicate points for the
-    whole block at once, never across a streamline boundary, with the rule
-    of Streamline construction.
+    Checks and collapses the whole block at once with the rule of
+    Streamline construction (model._checked_rows).
     """
     base = offsets[0]
     n_words = (offsets[-1] + 4 + 12 * counts[-1] - base) // 4
@@ -221,17 +224,7 @@ def _decode_block(data: bytes, offsets: list, counts: list, out: np.ndarray) -> 
     pts = out[:(n_words - len(at)) // 3]
     with np.errstate(invalid="ignore"):  # signaling NaNs rejected just below
         pts.reshape(-1)[:] = words[is_point]
-    # Per-coordinate flags reduced by flat index: numpy's reductions over a
-    # length-3 axis are several times slower than these.
-    finite = np.logical_and.reduceat(np.isfinite(pts).ravel(), 3 * first)
-    keep = _distinct_mask(pts, first)
-    kept = np.add.reduceat(keep, first, dtype=np.intp)
-    bad = ~finite | (kept < 2)
-    if bad.any():
-        # The first defective streamline in the block; construction raises
-        # its error (non-finite before too few points) with its message.
-        k = int(np.argmax(bad))
-        build_streamline(pts[first[k]:first[k] + counts[k]])
+    keep, kept = _checked_rows(pts, first)
     if not keep.all():
         out[:int(kept.sum())] = pts[keep]
     return kept

@@ -3,7 +3,7 @@
 A streamline is an ordered polyline in millimeter coordinates, stored as
 an immutable (n, 3) float64 array. Construction collapses consecutive
 duplicate points so that downstream segment tangents always have positive
-length; all other modules rely on that guarantee.
+length; every function that builds a store applies the same rule, _checked_rows.
 """
 
 from __future__ import annotations
@@ -32,13 +32,9 @@ class Streamline:
 
     def __init__(self, points):
         pts = _as_points(points)
-        if not np.isfinite(pts).all():
-            raise NonFiniteCoordinate("streamline contains NaN or Inf coordinates")
-        pts = pts[_distinct_mask(pts, slice(0, 1))]
-        if len(pts) < 2:
-            raise FewerThanTwoDistinctPoints(
-                f"streamline needs >= 2 distinct points, got {len(pts)}"
-            )
+        if len(pts) == 0:
+            raise FewerThanTwoDistinctPoints("streamline needs >= 2 distinct points, got 0")
+        pts = pts[_checked_rows(pts, np.zeros(1, dtype=np.intp))[0]]
         pts.flags.writeable = False
         self._points = pts
 
@@ -385,13 +381,27 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _distinct_mask(pts: np.ndarray, starts) -> np.ndarray:
-    """The duplicate-collapse rule on polylines stored back to back: True at
-    each polyline start (starts indexes pts) and at each point unlike the last."""
-    # Per axis: numpy's reductions over a length-3 axis are several times slower.
+def _checked_rows(pts: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The construction rule on nonempty polylines stored back to back in
+    pts (P, 3), float32 or float64, polyline r from row first[r].
+
+    Returns keep, True at each polyline's first point and each point unlike
+    the one before, and kept, each polyline's count of kept points. Raises
+    the first bad polyline's error, a non-finite point before too few.
+    """
+    # Per-coordinate flags reduced by flat index, and per-axis comparisons:
+    # numpy's reductions over a length-3 axis are several times slower.
+    finite = np.logical_and.reduceat(np.isfinite(pts).ravel(), 3 * first)
     moved = pts[1:] != pts[:-1]
     keep = np.empty(len(pts), dtype=bool)
     np.logical_or(moved[:, 0], moved[:, 1], out=keep[1:])
     keep[1:] |= moved[:, 2]
-    keep[starts] = True
-    return keep
+    keep[first] = True
+    kept = np.add.reduceat(keep, first, dtype=np.intp)
+    bad = ~finite | (kept < 2)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not finite[k]:
+            raise NonFiniteCoordinate("streamline contains NaN or Inf coordinates")
+        raise FewerThanTwoDistinctPoints(f"streamline needs >= 2 distinct points, got {kept[k]}")
+    return keep, kept

@@ -19,7 +19,8 @@ from .model import (
     BundleRef,
     Streamline,
     Tractogram,
-    _distinct_mask,
+    _check_resample_count,
+    _checked_rows,
     _resample_rows,
     build_streamline,
     resample,
@@ -215,7 +216,8 @@ def perturb_subject(
 
     Stands in for anatomical variability between co-registered subjects:
     bundle structure and truth indices are preserved, geometry shifts
-    smoothly by ~displacement_sigma mm.
+    smoothly by ~displacement_sigma mm. Moved points that rounding makes
+    equal are collapsed, as Streamline construction collapses them.
     """
     if displacement_sigma < 0:
         raise InvalidSpec("displacement_sigma must be >= 0")
@@ -225,6 +227,9 @@ def perturb_subject(
     # One draw of N offsets takes the values of N draws of one each.
     moved = np.repeat(rng.normal(0.0, displacement_sigma, (len(t), 3)), counts, axis=0)
     moved += t.points
+    keep, kept = _checked_rows(moved, t.offsets[:-1])
+    if not keep.all():
+        moved, counts = moved[keep], kept
     tractogram = Tractogram._from_counts(moved, counts)
     truth = {
         name: BundleRef(tractogram, ref.indices, name=name)
@@ -279,16 +284,11 @@ def _build_block(raw: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.nd
     """resample(build_streamline(raw[r]), counts[r]) for each polyline of
     raw (b, n, 3): their points back to back, and counts.
 
-    Checks finiteness, distinct points and the counts for the whole block
-    at once, with the rules of Streamline construction and resample; the
-    first bad polyline raises its error through those two calls.
+    Checks raw with the rule of Streamline construction, then the counts.
     """
     b, n = raw.shape[:2]
-    kept = _distinct_mask(raw.reshape(-1, 3), np.arange(0, b * n, n)).reshape(b, n).sum(axis=1)
-    bad = ~np.isfinite(raw).reshape(b, -1).all(axis=1) | (kept < 2) | (counts < 2)
-    if bad.any():
-        k = int(np.argmax(bad))
-        resample(build_streamline(raw[k]), counts[k])
+    _checked_rows(raw.reshape(-1, 3), np.arange(0, b * n, n))
+    _check_resample_count(counts.min())
     # Collapsing duplicate points would move no sample: a repeated point adds
     # a segment of length 0, which resampling passes over as it passes over
     # resample_stack's padding. (Only a -0.0 repeating a 0.0 could differ,

@@ -225,3 +225,12 @@ def test_huge_embedding_entry_exits_3(tmp_path, capsys, inputs):
             for part in COMMANDS["segment --embedding"]]
     code, err = run_cli(capsys, argv, "embedding entry 1e200")
     assert code == 3 and "embedding entries" in err
+
+
+@pytest.mark.parametrize("displacement", ["1e17", "1e300"])
+def test_bench_dsc_huge_displacement_exits_0_or_3(capsys, displacement):
+    # Offsets this large merge consecutive points of a streamline (1e17) or
+    # all of them (1e300) when added to the base subject's coordinates.
+    argv = ["bench", "dsc", "--subjects", "2", "--noise", "0",
+            "--displacement", displacement, "--kinds", "var-42.0"]
+    run_cli(capsys, argv, f"bench dsc --displacement {displacement}", codes=(0, 3))

@@ -97,6 +97,18 @@ def test_trgx_rejects_empty_write(tmp_path):
         write_tractogram(Tractogram([]), tmp_path / "a.trgx")
 
 
+def test_trgx_write_refuses_what_float32_merges_to_one_point(tmp_path):
+    # Distinct in float64, one point in float32: the reader would refuse the file.
+    t = Tractogram([build_streamline([[1e9, 0, 0], [1e9 + 1, 0, 0]])])
+    with pytest.raises(FewerThanTwoDistinctPoints):
+        write_tractogram(t, tmp_path / "a.trgx")
+    assert list(tmp_path.iterdir()) == []
+    # Two of three points merged in float32: written, and read back collapsed.
+    t = Tractogram([build_streamline([[1e9, 0, 0], [1e9 + 1, 0, 0], [1e9 + 500, 0, 0]])])
+    write_tractogram(t, tmp_path / "a.trgx")
+    assert len(read_tractogram(tmp_path / "a.trgx").tractogram[0]) == 2
+
+
 def test_trgx_rejects_overflowing_coordinates(tmp_path):
     t = Tractogram([build_streamline([[0, 0, 0], [1e300, 0, 0]])])
     with pytest.raises(NonFiniteCoordinate):

@@ -18,6 +18,7 @@ from tractodist.model import (
     BundleRef,
     Streamline,
     Tractogram,
+    _checked_rows,
     _sample,
     arc_lengths,
     build_streamline,
@@ -59,6 +60,31 @@ def test_rejects_degenerate_inputs():
         build_streamline([[0, 0, 0], [np.nan, 0, 0]])
     with pytest.raises(NonFiniteCoordinate):
         build_streamline([[0, 0, 0], [np.inf, 0, 0]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checked_rows_is_the_construction_rule(dtype):
+    pts = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0], [2, 0, 0], [2, 1, 0], [2, 1, 0]], dtype)
+    keep, kept = _checked_rows(pts, np.array([0, 3]))
+    assert keep.tolist() == [True, False, True, True, True, False]
+    assert kept.tolist() == [2, 2]
+    # The first bad polyline raises; in one polyline, a non-finite point
+    # before too few.
+    bad = np.array([[0, 0, 0], [1, 0, 0], [3, 3, 3], [3, 3, 3], [np.nan, 0, 0], [1, 0, 0]],
+                   dtype)
+    with pytest.raises(FewerThanTwoDistinctPoints, match="got 1"):
+        _checked_rows(bad, np.array([0, 2, 4]))
+    with pytest.raises(NonFiniteCoordinate):
+        _checked_rows(bad, np.array([0, 3]))
+    with pytest.raises(NonFiniteCoordinate):
+        _checked_rows(bad[4:5], np.array([0]))
+    with pytest.raises(NonFiniteCoordinate):
+        build_streamline(bad[4:5])
+    # Points one float64 unit apart near 1e9 are one point in float32.
+    line = np.array([[1e9, 0, 0], [1e9 + 1, 0, 0]])
+    assert _checked_rows(line, np.array([0]))[1].tolist() == [2]
+    with pytest.raises(FewerThanTwoDistinctPoints):
+        _checked_rows(line.astype(np.float32), np.array([0]))
 
 
 def test_resample_straight_midpoint():

@@ -5,13 +5,19 @@ import pytest
 
 from conftest import naive_mc, reference_generate_subject, reference_random_smooth_curve
 from tractodist.bench import default_bundle_specs, timing_pool
-from tractodist.distances import d_mc, default_kinds
-from tractodist.errors import InvalidResampleCount, InvalidSpec, NonFiniteCoordinate
+from tractodist.distances import d_mc, default_kinds, distance_matrix, parse_kind
+from tractodist.errors import (
+    FewerThanTwoDistinctPoints,
+    InvalidResampleCount,
+    InvalidSpec,
+    NonFiniteCoordinate,
+)
 from tractodist.model import Tractogram, build_streamline, resample
 from tractodist.segmentation import VoxelGrid, dsc, prepare_target, segment, voxelize
 from tractodist.synth import (
     CENTERLINE_SAMPLES,
     BundleSpec,
+    SyntheticSubject,
     evaluate_centerline,
     generate_subject,
     perturb_subject,
@@ -287,6 +293,26 @@ def test_perturb_validates():
     subject = generate_subject({"a": arc_spec()}, global_seed=1)
     with pytest.raises(InvalidSpec):
         perturb_subject(subject, -1.0)
+
+
+def test_perturb_collapses_points_that_rounding_merges():
+    # 1e-300 is far below the spacing of floats near an offset drawn from
+    # N(0, 1): each streamline's first two points land on the same spot.
+    t = Tractogram([build_streamline([[0, 0, 0], [1e-300, 0, 0], [1, 0, 0], [2, 1, 0]]),
+                    build_streamline([[5, 0, 0], [5, 1e-300, 0], [6, 0, 0]]),
+                    build_streamline([[0, 5, 0], [1, 5, 0], [1, 6, 0]])])
+    moved = perturb_subject(SyntheticSubject(t), 1.0, seed=3).tractogram
+    assert [len(s) for s in moved] == [3, 2, 3]
+    for s in moved:
+        assert (np.linalg.norm(np.diff(s.points, axis=0), axis=1) > 0).all()
+    assert np.isfinite(distance_matrix(parse_kind("var-42.0"), moved)).all()
+
+
+def test_perturb_refuses_a_streamline_merged_to_one_point():
+    t = Tractogram([build_streamline([[0, 0, 0], [1, 0, 0]]),
+                    build_streamline([[0, 0, 0], [1e-300, 0, 0]])])
+    with pytest.raises(FewerThanTwoDistinctPoints):
+        perturb_subject(SyntheticSubject(t), 1.0, seed=3)
 
 
 # ---------------------------------------------------------------------------
