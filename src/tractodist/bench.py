@@ -49,6 +49,9 @@ from .synth import (
 
 log = logging.getLogger(__name__)
 
+# Point counts of the benchmark's streamlines, drawn uniformly (inclusive).
+_POINTS_RANGE = (20, 100)
+
 
 # ---------------------------------------------------------------------------
 # Result containers
@@ -103,13 +106,13 @@ class DscTable:
 
 def timing_pool(
     pool_size: int = 600,
-    points_range: tuple[int, int] = (20, 100),
+    points_range: tuple[int, int] = _POINTS_RANGE,
     seed: int = 0,
-    box_mm: float = 100.0,
 ) -> list[Streamline]:
-    """Random smooth curves with realistic point counts for timing runs."""
+    """Random smooth curves in a 100 mm cube with realistic point counts,
+    for timing runs."""
     rng = np.random.default_rng([seed, 0x74696D65])
-    return list(random_smooth_curves(rng, np.zeros(3), np.full(3, box_mm), points_range,
+    return list(random_smooth_curves(rng, np.zeros(3), np.full(3, 100.0), points_range,
                                      pool_size))
 
 
@@ -119,7 +122,7 @@ def run_timing(
     repetitions: int = 3,
     seed: int = 0,
     pool_size: int = 600,
-    points_range: tuple[int, int] = (20, 100),
+    points_range: tuple[int, int] = _POINTS_RANGE,
 ) -> list[TimingRow]:
     """Time pair_count direct distance evaluations per kind.
 
@@ -179,6 +182,16 @@ def timing_csv(rows: Sequence[TimingRow]) -> str:
 # Nearest-neighbor agreement
 # ---------------------------------------------------------------------------
 
+def _transfers(target, kinds, bundles, prototype_count, subset_size, rng_seed):
+    """Per kind, in order: prepare the target once, then segment each bundle.
+
+    Yields (kind, [SegmentationResult per bundle, in bundle order]).
+    """
+    for kind in kinds:
+        embedded, tree = prepare_target(target, kind, prototype_count, subset_size, rng_seed)
+        yield kind, [segment(ref, embedded, tree, target, kind) for ref in bundles]
+
+
 def run_agreement(
     example_bundles: Sequence[BundleRef],
     targets: Sequence[Tractogram],
@@ -198,25 +211,14 @@ def run_agreement(
     if n_queries == 0 or not targets:
         raise NoQueries("agreement needs at least one example streamline and one target")
 
-    n_kinds = len(kinds)
-    matches = np.zeros((n_kinds, n_kinds), dtype=np.int64)
-    total = 0
+    matches = np.zeros((len(kinds), len(kinds)), dtype=np.int64)
     for target in targets:
-        picks = np.empty((n_kinds, n_queries), dtype=np.int64)
-        for a, kind in enumerate(kinds):
-            embedded, tree = prepare_target(
-                target, kind, prototype_count, subset_size, rng_seed
-            )
-            col = 0
-            for ref in example_bundles:
-                result = segment(ref, embedded, tree, target, kind)
-                for _, target_idx, _ in result.per_query:
-                    picks[a, col] = target_idx
-                    col += 1
-        for a in range(n_kinds):
-            for b in range(n_kinds):
-                matches[a, b] += int(np.sum(picks[a] == picks[b]))
-        total += n_queries
+        transfers = _transfers(target, kinds, example_bundles,
+                               prototype_count, subset_size, rng_seed)
+        picks = np.array([[t for r in results for _, t, _ in r.per_query]
+                          for _, results in transfers], dtype=np.int64)  # (K, Q)
+        matches += (picks[:, None] == picks[None]).sum(axis=2)
+    total = n_queries * len(targets)
 
     freq = matches.astype(np.float64) / total
     freq.flags.writeable = False
@@ -267,18 +269,13 @@ def run_dsc_experiment(
         name: {k: [] for k in kinds} for name in names
     }
     for ti, target in enumerate(subjects):
-        for kind in kinds:
-            embedded, tree = prepare_target(
-                target.tractogram, kind, prototype_count, subset_size, rng_seed
-            )
-            for ei, example in enumerate(subjects):
-                if ei == ti:
-                    continue
-                for name in names:
-                    result = segment(example.truth[name], embedded, tree,
-                                     target.tractogram, kind)
-                    pred = voxelize(result.predicted, target.tractogram, grid)
-                    samples[name][kind].append(dsc(pred, truth_vox[ti][name]))
+        examples = [(name, example.truth[name])
+                    for ei, example in enumerate(subjects) if ei != ti for name in names]
+        for kind, results in _transfers(target.tractogram, kinds, [ref for _, ref in examples],
+                                        prototype_count, subset_size, rng_seed):
+            for (name, _), result in zip(examples, results):
+                pred = voxelize(result.predicted, target.tractogram, grid)
+                samples[name][kind].append(dsc(pred, truth_vox[ti][name]))
 
     rows = {
         name: {
@@ -306,7 +303,6 @@ def dsc_table_csv(table: DscTable) -> str:
 def default_bundle_specs(
     streamline_count: int = 50,
     radial_jitter_sigma: float = 0.5,
-    points_range: tuple[int, int] = (20, 100),
 ) -> dict[str, BundleSpec]:
     """Three well-separated bundles of tract-like scale (~100 mm curves)."""
     return {
@@ -315,7 +311,7 @@ def default_bundle_specs(
                         "theta0_deg": 0.0, "theta1_deg": 180.0, "axis": "z"},
             streamline_count=streamline_count,
             radial_jitter_sigma=radial_jitter_sigma,
-            points_range=points_range,
+            points_range=_POINTS_RANGE,
             rng_seed=1,
         ),
         "helix": BundleSpec(
@@ -323,7 +319,7 @@ def default_bundle_specs(
                         "pitch": 35.0, "turns": 1.5, "axis": "y"},
             streamline_count=streamline_count,
             radial_jitter_sigma=radial_jitter_sigma,
-            points_range=points_range,
+            points_range=_POINTS_RANGE,
             rng_seed=2,
         ),
         "scurve": BundleSpec(
@@ -332,7 +328,7 @@ def default_bundle_specs(
                                    [-75.0, -10.0, 15.0], [-55.0, -45.0, 35.0]]},
             streamline_count=streamline_count,
             radial_jitter_sigma=radial_jitter_sigma,
-            points_range=points_range,
+            points_range=_POINTS_RANGE,
             rng_seed=3,
         ),
     }

@@ -254,7 +254,7 @@ def cmd_synth(args) -> int:
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"{args.spec}: {exc}") from exc
     subject = generate_subject(specs, doc.get("noise_streamlines", 0), global_seed=args.seed)
-    if displacement > 0:
+    if displacement != 0:
         subject = perturb_subject(subject, displacement, seed=args.seed)
 
     trgx_path = f"{args.out}.trgx"
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (OSError, DataError) as exc:
+    except (OSError, DataError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except TractodistError as exc:

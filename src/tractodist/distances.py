@@ -313,8 +313,10 @@ def _prepare(kind: DistanceKind, t: Tractogram):
     if tag == "pdm":
         return [(s.points, _gauss_mean(s.points, s.points, param)) for s in t]
     if tag == "var":
+        # The self-product on a second, fresh descriptor, as d_varifolds
+        # takes it: t @ t.T on one array takes BLAS's symmetric path.
         segs = [_segment_arrays(s) for s in t]
-        return [(g, _var_inner(g, g, param)) for g in segs]
+        return [(g, _var_inner(g, _segment_arrays(s), param)) for s, g in zip(t, segs)]
     return t
 
 
@@ -326,7 +328,8 @@ def distance_matrix(
     """All pairwise distances between two streamline collections.
 
     With cols omitted (or identical to rows) only the upper triangle is
-    evaluated and mirrored; all kinds here are symmetric by construction.
+    evaluated and mirrored, and the diagonal is 0; all kinds here are
+    symmetric by construction.
     Per-streamline quantities (resampled points, kernel self-products,
     segment descriptors) are computed once and reused, which matches
     per-pair evaluation to within accumulation rounding. mdf takes blocks
@@ -365,6 +368,9 @@ def distance_matrix(
                     b = cs[j]
                     out[i, j] = _kernel_distance(a[1], b[1], inner(a[0], b[0], sigma))
     if symmetric:
+        # Every oracle gives 0 on identical streamlines; a var diagonal entry
+        # shares one descriptor between both sides of its cross product.
+        np.fill_diagonal(out, 0.0)
         # One row at a time: index arrays over the whole triangle would
         # allocate more than the matrix itself.
         for i in range(len(rows) - 1):

@@ -337,19 +337,14 @@ def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
 def dsc(a: VoxelSet, b: VoxelSet) -> float:
     """Dice similarity coefficient 2|a & b| / (|a| + |b|).
 
-    The overlap is counted on int64 codes over the joint extent of both
-    sets, or, where those would overflow int64, by np.unique(axis=0) on
-    both sets' rows.
+    Each set's rows are distinct, so the overlap is the number of rows that
+    _distinct_rows, the rule VoxelSets are built with, drops from both
+    sets' rows stacked.
     """
     if not len(a) and not len(b):
         raise BothEmpty("dice of two empty voxel sets is undefined")
     if not len(a) or not len(b):
         return 0.0
     both = np.concatenate((a.rows, b.rows))
-    lo, ext = _extent(both)
-    if ext[0] * ext[1] * ext[2] > _INT64_MAX:
-        common = len(both) - len(np.unique(both, axis=0))
-    else:
-        common = len(np.intersect1d(_encode(a.rows, lo, ext), _encode(b.rows, lo, ext),
-                                    assume_unique=True))
+    common = len(both) - len(_distinct_rows(both))
     return 2.0 * common / (len(a) + len(b))

@@ -9,6 +9,7 @@ reproducible at desk scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,7 +114,7 @@ def evaluate_centerline(spec: dict, samples: int = CENTERLINE_SAMPLES) -> np.nda
             theta = np.linspace(0.0, 2.0 * np.pi * turns, samples)
             rise = pitch * theta / (2.0 * np.pi)
             return center + _circle_frame(spec.get("axis", "z"), theta) * radius \
-                + _axis_vector(spec.get("axis", "z")) * rise[:, None]
+                + np.eye(3)[_axis_index(spec.get("axis", "z"))] * rise[:, None]
         if kind == "polyline":
             ctrl = np.asarray(spec["points"], dtype=np.float64)
             if ctrl.ndim != 2 or ctrl.shape[1] != 3 or len(ctrl) < 2:
@@ -126,18 +127,16 @@ def evaluate_centerline(spec: dict, samples: int = CENTERLINE_SAMPLES) -> np.nda
     raise InvalidSpec(f"unknown centerline type {kind!r}")
 
 
-def _axis_vector(axis: str) -> np.ndarray:
-    try:
-        return np.eye(3)["xyz".index(axis)]
-    except (ValueError, TypeError):
-        raise InvalidSpec(f"axis must be one of x, y, z, got {axis!r}") from None
+def _axis_index(axis) -> int:
+    """0, 1 or 2 for the axis named x, y or z."""
+    if not (isinstance(axis, str) and axis in ("x", "y", "z")):
+        raise InvalidSpec(f"axis must be one of x, y, z, got {axis!r}")
+    return "xyz".index(axis)
 
 
 def _circle_frame(axis: str, theta: np.ndarray) -> np.ndarray:
     """Unit circle in the plane orthogonal to the named axis."""
-    i = "xyz".index(axis) if isinstance(axis, str) and axis in "xyz" and len(axis) == 1 else -1
-    if i < 0:
-        raise InvalidSpec(f"axis must be one of x, y, z, got {axis!r}")
+    i = _axis_index(axis)
     u, v = (i + 1) % 3, (i + 2) % 3
     out = np.zeros((len(theta), 3))
     out[:, u] = np.cos(theta)
@@ -219,8 +218,8 @@ def perturb_subject(
     smoothly by ~displacement_sigma mm. Moved points that rounding makes
     equal are collapsed, as Streamline construction collapses them.
     """
-    if displacement_sigma < 0:
-        raise InvalidSpec("displacement_sigma must be >= 0")
+    if not 0 <= displacement_sigma < math.inf:
+        raise InvalidSpec(f"displacement_sigma must be finite and >= 0, got {displacement_sigma}")
     rng = np.random.default_rng([seed, 0x70657274])
     t = subject.tractogram
     counts = np.diff(t.offsets)

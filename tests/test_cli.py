@@ -128,6 +128,7 @@ def test_synth_applies_displacement(tmp_path):
     {"bundles": {"a": {"centerline": {"type": "blob"},
                        "streamline_count": 3, "radial_jitter_sigma": 1.0}}},
     {"bundles": {"a": {"streamline_count": 3, "radial_jitter_sigma": 1.0}}},
+    {"bundles": {"a": 5}},
 ])
 def test_synth_bad_specs_exit_3(tmp_path, capsys, doc):
     if doc is None:
@@ -170,6 +171,14 @@ def test_synth_bad_numbers_exit_3(tmp_path, capsys, path, value):
     spec.write_text(json.dumps(_spec_with(path, value)).replace("Infinity", "1e400"))
     assert main(["synth", str(spec), "--out", str(tmp_path / "s")]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", [-5.0, float("nan")])
+def test_synth_displacement_not_finite_and_nonnegative_exits_3(tmp_path, capsys, sigma):
+    spec = write_spec(tmp_path, doc=dict(SPEC, displacement_sigma=sigma))
+    assert main(["synth", spec, "--out", str(tmp_path / "s")]) == 3
+    assert "displacement_sigma" in capsys.readouterr().err
+    assert not (tmp_path / "s.trgx").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +571,7 @@ def test_bench_agreement_csv(tmp_path):
      "--kinds", ","],
     ["bench", "timing", "--pairs", "1", "--kinds", ""],
     ["bench", "dsc", "--kinds", " , "],
+    ["--seed", "-1", "dist", "x.trgx", "--kind", "mc"],
 ])
 def test_usage_errors_exit_2(tmp_path, capsys, argv):
     assert main(argv) == 2
@@ -606,6 +616,13 @@ def test_exit_code_of_each_error_class(tmp_path, capsys, monkeypatch, error):
 def test_degenerate_sizes_and_bandwidths_exit_2(capsys, argv):
     assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_allocation_numpy_refuses_exits_3(capsys):
+    # 10^12 pair indices need 8 TB, which numpy refuses at once.
+    assert main(["bench", "timing", "--pairs", "1000000000000", "--kinds", "mdf-12"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_missing_trgx_exit_3(tmp_path, capsys):

@@ -18,6 +18,7 @@ from conftest import (
     rigid_motion,
 )
 from tractodist import distances
+from tractodist.bench import default_benchmark_subjects
 from tractodist.distances import (
     LC,
     MAX_MDF_POINTS,
@@ -545,6 +546,33 @@ def test_mdf_self_distance_is_exactly_zero(m):
     assert [d_mdf(s, s, m) for s in streams] == [0.0] * len(streams)
     assert np.all(np.diag(distance_matrix(mdf(m), streams)) == 0.0)
     assert np.all(np.diag(distance_matrix(mdf(m), streams, list(streams))) == 0.0)
+
+
+@pytest.fixture(scope="module")
+def benchmark_tractograms():
+    return [s.tractogram for s in default_benchmark_subjects()]
+
+
+def test_var_batch_entry_of_a_streamline_with_itself_is_0(benchmark_tractograms):
+    s = benchmark_tractograms[0][185]
+    assert d_varifolds(s, s, 42.0) == 0.0
+    assert distance_matrix(varifolds(), [s], [s])[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_var_diagonals_are_0_in_rectangular_and_symmetric_matrices(benchmark_tractograms, k):
+    t = benchmark_tractograms[k]
+    ones = [distance_matrix(varifolds(), [t[i]], [t[i]])[0, 0] for i in range(len(t))]
+    assert np.array_equal(np.diag(distance_matrix(varifolds(), t)), ones)
+    assert not any(ones)
+
+
+@pytest.mark.parametrize("kind", [pdm(), varifolds()], ids=str)
+def test_kernel_rectangular_matrix_is_bit_identical_to_per_pair(benchmark_tractograms, kind):
+    t = benchmark_tractograms[0]
+    cols = t.take(range(3, len(t), 20))
+    expected = [[distance(kind, t[i], cols[j]) for j in range(len(cols))] for i in range(len(t))]
+    assert np.array_equal(distance_matrix(kind, t, cols), expected)
 
 
 @pytest.mark.parametrize("kind", default_kinds(), ids=str)

@@ -62,6 +62,11 @@ def test_rejects_degenerate_inputs():
         build_streamline([[0, 0, 0], [np.inf, 0, 0]])
 
 
+def test_rejects_points_that_are_not_three_dimensional():
+    with pytest.raises(FewerThanTwoDistinctPoints, match=r"\(n, 3\) point array"):
+        Streamline(np.zeros((3, 2)))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_checked_rows_is_the_construction_rule(dtype):
     pts = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0], [2, 0, 0], [2, 1, 0], [2, 1, 0]], dtype)

@@ -260,7 +260,7 @@ def test_voxel_grid_validates():
         VoxelGrid(voxel_size=-1.0)
 
 
-@pytest.mark.parametrize("origin", [(0, 0), (math.nan, 0.0, 0.0), (0.0, -math.inf, 0.0)])
+@pytest.mark.parametrize("origin", [(0, 0), (math.nan, 0.0, 0.0), (0.0, -math.inf, 0.0), "abc"])
 def test_voxel_grid_rejects_an_origin_other_than_three_finite_numbers(origin):
     with pytest.raises(InvalidSpec, match=r"origin .*" + re.escape(repr(origin))):
         VoxelGrid(origin=origin)
