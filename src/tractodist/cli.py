@@ -64,7 +64,7 @@ from .io import (
     write_tractogram,
 )
 from .segmentation import DEFAULT_VOXEL_SIZE, VoxelGrid, dsc, prepare_target, segment, voxelize
-from .synth import BundleSpec, generate_subject, perturb_subject
+from .synth import BundleSpec, _check_displacement, generate_subject, perturb_subject
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +253,7 @@ def cmd_synth(args) -> int:
         displacement = float(doc.get("displacement_sigma", 0.0))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"{args.spec}: {exc}") from exc
+    _check_displacement(displacement)
     subject = generate_subject(specs, doc.get("noise_streamlines", 0), global_seed=args.seed)
     if displacement != 0:
         subject = perturb_subject(subject, displacement, seed=args.seed)

@@ -10,7 +10,7 @@ the same distance kind; mixing kinds is rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,9 @@ class PrototypeSet:
 
     indices: tuple[int, ...]
     kind: DistanceKind
+    # (points, offsets, columns) when SFF drew every streamline of that
+    # store: columns is its (N, d) block dmat[:, chosen], row i streamline i.
+    _sff: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.indices) < 1:
@@ -142,7 +145,12 @@ def select_prototypes_sff(
         np.minimum(min_to_chosen, dmat[nxt], out=min_to_chosen)
         min_to_chosen[nxt] = -np.inf
 
-    return PrototypeSet(tuple(int(candidates[i]) for i in chosen), kind)
+    # Every streamline a candidate (candidates is arange(n)): SFF's columns
+    # are the embedding of this store, kept for embed_tractogram.
+    sff = None
+    if len(candidates) == n:
+        sff = (tractogram.points, tractogram.offsets, dmat[:, chosen])
+    return PrototypeSet(tuple(int(candidates[i]) for i in chosen), kind, sff)
 
 
 def embed_tractogram(
@@ -151,8 +159,18 @@ def embed_tractogram(
     source: Tractogram,
     kind: DistanceKind,
 ) -> EmbeddedTractogram:
-    """Embed every streamline of t against the prototypes of source."""
+    """Embed every streamline of t against the prototypes of source.
+
+    When SFF drew every streamline of source and t is that same store, the
+    vectors are SFF's own distance columns; an entry mirrored there may
+    differ from distance_matrix's in its last bits.
+    """
     if kind != protos.kind:
         raise KindMismatch(f"embedding kind {kind} != prototype kind {protos.kind}")
-    vectors = distance_matrix(kind, t, source.take(protos.indices))
+    sff = protos._sff
+    # Identity, not equal content: a copy of the store takes distance_matrix.
+    if sff is not None and all(x.points is sff[0] and x.offsets is sff[1] for x in (t, source)):
+        vectors = sff[2]
+    else:
+        vectors = distance_matrix(kind, t, source.take(protos.indices))
     return EmbeddedTractogram(vectors, protos, kind)

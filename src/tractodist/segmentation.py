@@ -337,10 +337,12 @@ def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
 def dsc(a: VoxelSet, b: VoxelSet) -> float:
     """Dice similarity coefficient 2|a & b| / (|a| + |b|).
 
-    Each set's rows are distinct, so the overlap is the number of rows that
-    _distinct_rows, the rule VoxelSets are built with, drops from both
-    sets' rows stacked.
+    An argument that is not a VoxelSet, such as a Python set of (i, j, k),
+    is made one first. Each set's rows are distinct, so the overlap is the
+    number of rows that _distinct_rows, the rule VoxelSets are built with,
+    drops from both sets' rows stacked.
     """
+    a, b = (v if isinstance(v, VoxelSet) else VoxelSet(v) for v in (a, b))
     if not len(a) and not len(b):
         raise BothEmpty("dice of two empty voxel sets is undefined")
     if not len(a) or not len(b):

@@ -206,6 +206,12 @@ def generate_subject(
     return SyntheticSubject(tractogram=tractogram, truth=truth)
 
 
+def _check_displacement(displacement_sigma: float) -> None:
+    """Refuse a displacement_sigma that is not finite and >= 0 (InvalidSpec)."""
+    if not 0 <= displacement_sigma < math.inf:
+        raise InvalidSpec(f"displacement_sigma must be finite and >= 0, got {displacement_sigma}")
+
+
 def perturb_subject(
     subject: SyntheticSubject,
     displacement_sigma: float,
@@ -218,8 +224,7 @@ def perturb_subject(
     smoothly by ~displacement_sigma mm. Moved points that rounding makes
     equal are collapsed, as Streamline construction collapses them.
     """
-    if not 0 <= displacement_sigma < math.inf:
-        raise InvalidSpec(f"displacement_sigma must be finite and >= 0, got {displacement_sigma}")
+    _check_displacement(displacement_sigma)
     rng = np.random.default_rng([seed, 0x70657274])
     t = subject.tractogram
     counts = np.diff(t.offsets)

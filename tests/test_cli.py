@@ -181,6 +181,17 @@ def test_synth_displacement_not_finite_and_nonnegative_exits_3(tmp_path, capsys,
     assert not (tmp_path / "s.trgx").exists()
 
 
+def test_synth_refuses_a_negative_displacement_before_building(tmp_path, capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("generate_subject ran for a spec it must refuse")
+
+    monkeypatch.setattr("tractodist.cli.generate_subject", build)
+    spec = write_spec(tmp_path, doc=dict(SPEC, displacement_sigma=-5))
+    assert main(["synth", spec, "--out", str(tmp_path / "s")]) == 3
+    assert "displacement_sigma" in capsys.readouterr().err
+    assert not (tmp_path / "s.trgx").exists()
+
+
 # ---------------------------------------------------------------------------
 # dist
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_streamline, reference_sff
+from tractodist.cli import main
 from tractodist.distances import MC, default_kinds, distance, distance_matrix, mdf
 from tractodist.embedding import (
     DEFAULT_PROTOTYPE_COUNT,
@@ -13,6 +14,7 @@ from tractodist.embedding import (
     select_prototypes_sff,
 )
 from tractodist.errors import KindMismatch, TooManyPrototypes
+from tractodist.io import read_embedding_for, read_tractogram, write_tractogram
 from tractodist.model import Tractogram, build_streamline
 
 
@@ -185,3 +187,62 @@ def test_gathered_candidates_and_prototypes_keep_their_bits(kind):
     protos = select_prototypes_sff(t, kind, 4, subset_size=15, rng_seed=3)
     emb = embed_tractogram(t, protos, t, kind)
     assert np.array_equal(emb.vectors, distance_matrix(kind, t, [t[j] for j in protos.indices]))
+
+
+# ---------------------------------------------------------------------------
+# Every streamline a candidate: the embedding of the source is SFF's columns
+# ---------------------------------------------------------------------------
+
+def all_candidates(kind, seed=53):
+    """15 streamlines and SFF's 4 prototypes, drawn from all 15 by the rule."""
+    rng = np.random.default_rng(seed)
+    t = Tractogram([random_streamline(rng, n_points=int(k)) for k in rng.integers(2, 12, 15)])
+    assert default_subset_size(len(t), 4) >= len(t)
+    return t, select_prototypes_sff(t, kind, 4, rng_seed=1)
+
+
+@pytest.mark.parametrize("kind", default_kinds(5.0), ids=str)
+def test_embedding_of_the_source_at_s_equal_n_is_sffs_columns(kind):
+    t, p = all_candidates(kind)
+    vectors = embed_tractogram(t, p, t, kind).vectors
+    assert np.array_equal(vectors, distance_matrix(kind, t)[:, list(p.indices)])
+    np.testing.assert_allclose(vectors, distance_matrix(kind, t, t.take(p.indices)),
+                               rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", default_kinds(5.0), ids=str)
+def test_sff_columns_serve_only_the_store_sff_ran_on(kind):
+    t, p = all_candidates(kind)
+    copy = Tractogram(list(t))
+    rectangular = distance_matrix(kind, copy, copy.take(p.indices))
+    assert np.array_equal(embed_tractogram(copy, p, copy, kind).vectors, rectangular)
+    assert np.array_equal(embed_tractogram(copy, p, t, kind).vectors, rectangular)
+    assert np.array_equal(embed_tractogram(t, p, copy, kind).vectors, rectangular)
+    other, _ = all_candidates(kind, seed=54)
+    assert np.array_equal(embed_tractogram(other, p, t, kind).vectors,
+                          distance_matrix(kind, other, t.take(p.indices)))
+
+
+def test_sff_prototypes_compare_hash_and_print_as_their_indices():
+    _, p = all_candidates(MC)
+    plain = PrototypeSet(p.indices, MC)
+    assert p == plain and plain == p
+    assert hash(p) == hash(plain)
+    assert repr(p) == repr(plain)
+    assert len({p, plain}) == 1
+
+
+@pytest.mark.parametrize("kind", default_kinds(5.0), ids=str)
+def test_embd_written_at_s_equal_n_passes_the_target_check(tmp_path, capsys, kind):
+    t, _ = all_candidates(kind)
+    trgx, embd = str(tmp_path / "t.trgx"), str(tmp_path / "t.embd")
+    write_tractogram(t, trgx)
+    assert main(["--seed", "1", "--prototypes", "4", "embed", trgx,
+                 "--kind", str(kind), "--out", embd]) == 0
+    capsys.readouterr()
+    target = read_tractogram(trgx).tractogram
+    p = select_prototypes_sff(target, kind, 4, rng_seed=1)
+    for seed in range(4):
+        emb = read_embedding_for(embd, target, kind, seed)
+        assert emb.prototypes == p
+        assert np.array_equal(emb.vectors, distance_matrix(kind, target)[:, list(p.indices)])

@@ -457,6 +457,14 @@ def test_dsc_one_empty_is_zero():
     assert dsc({(0, 0, 0)}, set()) == 0.0
 
 
+def test_dsc_takes_python_sets_on_both_paths():
+    assert dsc({(0, 0, 0)}, {(0, 0, 0)}) == 1.0
+    a = {(i, 0, 0) for i in range(4)}
+    b = {(i, 0, 0) for i in range(2, 8)}
+    both = dsc(VoxelSet(a), VoxelSet(b))
+    assert dsc(a, VoxelSet(b)) == dsc(VoxelSet(a), b) == dsc(a, b) == both
+
+
 def test_dsc_both_empty_raises():
     with pytest.raises(BothEmpty):
         dsc(set(), set())
