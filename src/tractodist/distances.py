@@ -141,10 +141,18 @@ def d_lc(s_a: Streamline, s_b: Streamline) -> float:
 
 
 # The batch engine's one work budget, in point pairs per numpy call: an
-# mc/sc/lc run of whole column streamlines fills one reused 256 KB cdist
-# buffer, and an mdf block of whole rows, or of aligned pairs, keeps each
-# _mdf_core temporary under 1 MB (a wider row or streamline is one call).
+# mc/sc/lc run of whole column streamlines, or a pdm/var run of whole row
+# streamlines, fills one reused 256 KB buffer, and an mdf block of whole
+# rows, or of aligned pairs, keeps each _mdf_core temporary under 1 MB (a
+# wider row or streamline is one call).
 _RUN_POINT_PAIRS = 32768
+
+
+def _run_end(offsets: np.ndarray, lo: int, points: int) -> int:
+    """The end of the run from streamline lo of a store with these offsets:
+    the whole streamlines that fit in points, or streamline lo alone when
+    it is longer."""
+    return max(lo + 1, int(np.searchsorted(offsets, offsets[lo] + points, side="right")) - 1)
 
 
 def _closest_row(pick, pa: np.ndarray, cols: Tractogram, j0: int) -> np.ndarray:
@@ -166,7 +174,7 @@ def _closest_row(pick, pa: np.ndarray, cols: Tractogram, j0: int) -> np.ndarray:
     lo = j0
     while lo < len(cols):
         p0 = offsets[lo]
-        hi = max(lo + 1, int(np.searchsorted(offsets, p0 + run_points, side="right")) - 1)
+        hi = _run_end(offsets, lo, run_points)
         size = n * (offsets[hi] - p0)
         sq = cdist(pa, flat[p0:offsets[hi]], "sqeuclidean",
                    out=buf[:size].reshape(n, -1) if size <= len(buf) else None)
@@ -304,20 +312,74 @@ def _prepare(kind: DistanceKind, t: Tractogram):
 
     mdf: the (3, n, m) coordinate planes of resample_stack's store, not a
     copy. mc/sc/lc: the tractogram itself, whose flat store the
-    closest-point runs read. pdm/var: (points or segment descriptors, kernel
-    self-product) pairs.
+    closest-point runs read. pdm/var: (descriptor stack, offsets, kernel
+    self-products), the stack a list of arrays whose rows offsets[i] to
+    offsets[i + 1] describe streamline i: pdm's is the tractogram's own
+    points and offsets, not a copy; var's is every streamline's segment
+    centers, tangents and tangent norms, concatenated.
     """
     tag, param = kind.tag, kind.param
     if tag == "mdf":
         return np.moveaxis(resample_stack(t, param), -1, 0)
     if tag == "pdm":
-        return [(s.points, _gauss_mean(s.points, s.points, param)) for s in t]
+        return [t.points], t.offsets, np.array([_gauss_mean(s.points, s.points, param) for s in t])
     if tag == "var":
+        segs = [_segment_arrays(s) for s in t]
         # The self-product on a second, fresh descriptor, as d_varifolds
         # takes it: t @ t.T on one array takes BLAS's symmetric path.
-        segs = [_segment_arrays(s) for s in t]
-        return [(g, _var_inner(g, _segment_arrays(s), param)) for s, g in zip(t, segs)]
+        selfs = np.array([_var_inner(g, _segment_arrays(s), param) for s, g in zip(t, segs)])
+        # A zero-length first block, so that an empty t stacks too.
+        empty = (np.empty((0, 3)), np.empty((0, 3)), np.empty(0))
+        stack = [np.concatenate(parts) for parts in zip(empty, *segs)]
+        return stack, t.offsets - np.arange(len(t) + 1), selfs
     return t
+
+
+def _kernel_column(sigma: float, rows, cols, j: int, n: int, bufs: np.ndarray) -> np.ndarray:
+    """pdm or var distances of rows' streamlines 0..n-1 to cols' streamline j.
+
+    rows and cols are _prepare's (stack, offsets, self-products). The rows
+    meet the column in runs of whole streamlines of at most
+    _RUN_POINT_PAIRS point pairs, worked in place in the two rows of bufs
+    (a longer streamline is a run alone, on fresh arrays). Each step is
+    the per-pair oracle's IEEE operation on each element, and each pair's
+    weights are one contiguous row-major block, summed alone with .sum()
+    as the oracle sums it; so an entry equals d_pdm or d_varifolds of its
+    pair bit for bit.
+    """
+    (ra, ro, raa), (ca, co, cbb) = rows, cols
+    cb = [c[co[j]:co[j + 1]] for c in ca]
+    nb = len(cb[0])
+    var = len(ca) == 3
+    ab = np.empty(n)
+    lo = 0
+    while lo < n:
+        hi = min(n, _run_end(ro, lo, _RUN_POINT_PAIRS // nb))
+        p0, p1 = ro[lo], ro[hi]
+        size = (p1 - p0) * nb
+        w, d = [b[:size].reshape(-1, nb) for b in bufs] if size <= bufs.shape[1] else (None, None)
+        w = cdist(ra[0][p0:p1], cb[0], "sqeuclidean", out=w)
+        # x / -y is -x / y: IEEE division rounds the magnitude alone.
+        np.divide(w, -(sigma * sigma), out=w)
+        np.exp(w, out=w)
+        if var:
+            d = np.matmul(ra[1][p0:p1], cb[1].T, out=d)
+            d *= d
+            w *= d
+            np.multiply(ra[2][p0:p1, None], cb[2], out=d)
+            w /= d
+        edges = (ro[lo:hi + 1] - p0).tolist()
+        ab[lo:hi] = [w[a:b].sum() for a, b in zip(edges, edges[1:])]
+        lo = hi
+    if var:
+        # matmul takes gemv for a one-row product, whose rounding differs
+        # from that row's part of the stacked gemm: a one-segment row
+        # takes the oracle's own call.
+        for i in np.flatnonzero(np.diff(ro[:n + 1]) == 1):
+            ab[i] = _var_inner([c[ro[i]:ro[i + 1]] for c in ra], cb, sigma)
+    else:
+        ab /= np.diff(ro[:n + 1]) * nb
+    return np.sqrt(np.maximum(raa[:n] + cbb[j] - 2.0 * ab, 0.0))
 
 
 def distance_matrix(
@@ -331,13 +393,15 @@ def distance_matrix(
     evaluated and mirrored, and the diagonal is 0; all kinds here are
     symmetric by construction.
     Per-streamline quantities (resampled points, kernel self-products,
-    segment descriptors) are computed once and reused, which matches
-    per-pair evaluation to within accumulation rounding. mdf takes blocks
+    segment descriptors) are computed once and reused. mdf takes blocks
     of whole rows, one _mdf_core call per block of at most _RUN_POINT_PAIRS
     resampled point pairs; a rectangular mdf matrix equals the per-pair
     d_mdf bit for bit. mc, sc and lc meet a row's columns in runs of whole
     streamlines of the columns' store, each entry computed the same way
-    whatever run it falls in. A list is copied into a Tractogram once.
+    whatever run it falls in. pdm and var meet a column with runs of whole
+    row streamlines (_kernel_column); a rectangular pdm or var matrix
+    equals d_pdm or d_varifolds bit for bit. A list is copied into a
+    Tractogram once.
     """
     symmetric = cols is None or cols is rows
     rows = Tractogram(rows)
@@ -356,17 +420,16 @@ def distance_matrix(
         for i in range(0, len(rows), k):
             j0 = i if symmetric else 0
             out[i:i + k, j0:] = _mdf_core(rs[:, i:i + k, None], cs[:, None, j0:])
-    else:
-        inner = _gauss_mean if tag == "pdm" else _var_inner
+    elif closest:
         for i in range(len(rows)):
             j0 = i if symmetric else 0
-            if closest:
-                out[i, j0:] = _closest_row(_SYMMETRIZE[tag], rows[i].points, cs, j0)
-            else:
-                a = rs[i]
-                for j in range(j0, len(cols)):
-                    b = cs[j]
-                    out[i, j] = _kernel_distance(a[1], b[1], inner(a[0], b[0], sigma))
+            out[i, j0:] = _closest_row(_SYMMETRIZE[tag], rows[i].points, cs, j0)
+    else:
+        # Column j of a symmetric matrix takes rows 0..j, its upper triangle.
+        bufs = np.empty((2, _RUN_POINT_PAIRS))
+        for j in range(len(cols)):
+            n = j + 1 if symmetric else len(rows)
+            out[:n, j] = _kernel_column(sigma, rs, cs, j, n, bufs)
     if symmetric:
         # Every oracle gives 0 on identical streamlines; a var diagonal entry
         # shares one descriptor between both sides of its cross product.

@@ -575,6 +575,70 @@ def test_kernel_rectangular_matrix_is_bit_identical_to_per_pair(benchmark_tracto
     assert np.array_equal(distance_matrix(kind, t, cols), expected)
 
 
+# ---------------------------------------------------------------------------
+# The pdm/var column runs
+# ---------------------------------------------------------------------------
+
+KERNELS = [pdm(), varifolds(), pdm(5.0), varifolds(5.0)]
+
+
+def kernel_fixture():
+    """2- and 3-point streamlines (one and two segments) mixed with long
+    ones, on both sides; at a run size of 64 point pairs the long rows are
+    runs alone and the short ones share runs."""
+    rng = np.random.default_rng(44)
+    rows = [random_streamline(rng, n) for n in (2, 60, 3, 2, 150, 3, 17)]
+    cols = [random_streamline(rng, n) for n in (3, 2, 80, 2, 25, 3, 120)]
+    return rows, cols
+
+
+@pytest.mark.parametrize("run", [None, 64])
+@pytest.mark.parametrize("kind", KERNELS, ids=str)
+def test_kernel_runs_give_the_per_pair_bits_on_short_streamlines(kind, run, monkeypatch):
+    if run is not None:
+        monkeypatch.setattr("tractodist.distances._RUN_POINT_PAIRS", run)
+    rows, cols = kernel_fixture()
+    for a_side, b_side in ((rows, cols), (cols, rows)):
+        expected = [[distance(kind, a, b) for b in b_side] for a in a_side]
+        assert np.array_equal(distance_matrix(kind, a_side, b_side), expected)
+
+
+def test_var_entries_of_two_point_streamlines_with_themselves_are_0():
+    rng = np.random.default_rng(46)
+    rows = [random_streamline(rng, n) for n in (2, 60, 3) * 8]
+    for i in range(0, len(rows), 3):
+        s = rows[i]
+        assert distance_matrix(varifolds(), [s], [s])[0, 0] == 0.0
+        # Among other rows, s shares a run with them.
+        assert distance_matrix(varifolds(), rows, [s])[i, 0] == 0.0
+
+
+@pytest.mark.parametrize("run", [None, 64])
+@pytest.mark.parametrize("kind", KERNELS, ids=str)
+def test_kernel_entries_do_not_depend_on_the_call(kind, run, monkeypatch):
+    """One row alone, the symmetric upper triangle and the rectangular
+    matrix give the same bits, whichever run an entry falls in."""
+    if run is not None:
+        monkeypatch.setattr("tractodist.distances._RUN_POINT_PAIRS", run)
+    rows, cols = kernel_fixture()
+    streams = rows + cols
+    full = distance_matrix(kind, rows, cols)
+    for i in range(len(rows)):
+        assert np.array_equal(distance_matrix(kind, rows[i:i + 1], cols)[0], full[i])
+    sym = distance_matrix(kind, streams)
+    upper = np.triu_indices(len(streams))
+    assert np.array_equal(sym[upper], distance_matrix(kind, streams, list(streams))[upper])
+
+
+@pytest.mark.parametrize("kind", KERNELS, ids=str)
+def test_kernel_pair_above_the_run_budget_gives_the_per_pair_bits(kind):
+    rng = np.random.default_rng(45)
+    a, b = random_streamline(rng, 200), random_streamline(rng, 200)
+    assert len(a) * len(b) > distances._RUN_POINT_PAIRS
+    assert distance_matrix(kind, [a], [b])[0, 0] == distance(kind, a, b)
+    assert distance_matrix(kind, [a, b])[0, 1] == distance(kind, a, b)
+
+
 @pytest.mark.parametrize("kind", default_kinds(), ids=str)
 def test_empty_rows_or_columns(kind):
     rng = np.random.default_rng(40)
