@@ -7,15 +7,26 @@ among the stored vectors, ties broken toward the lowest stored id, so
 every answer equals a linear scan bit for bit.
 
 scipy's compiled ``cKDTree`` (median splits on the axis of greatest
-spread, leaves of at most 16 vectors) proposes each query's nearest
-distance d. Its arithmetic may round d differently from a numpy scan, so
-the proposal alone could pick the wrong one of two near-equal vectors,
-or a tie's higher id. A ball query of radius d * (1 + 1e-9) therefore
-collects every stored vector whose distance could round to d or below;
-the slack is many orders of magnitude above float64 rounding, and a
-radius of 0 still includes a vector at distance 0. Those candidates are
-re-scored with the scan's numpy arithmetic, ``((v - q) * (v - q)).sum``,
-and the lowest id among the exact minima wins.
+spread, leaves of at most 16 vectors) proposes each query's two nearest
+vectors, at tree distances d1 <= d2. Its arithmetic may round them
+differently from a numpy scan, so the proposal alone could pick the
+wrong one of two near-equal vectors, or a tie's higher id. The
+candidates are therefore every stored vector whose distance could round
+to d1 or below: those inside a ball of radius d1 * (1 + 1e-9). The slack
+is many orders of magnitude above float64 rounding, and a radius of 0
+still includes a vector at distance 0.
+
+When d2 > d1 * (1 + 2e-9) that ball holds the proposed vector alone, and
+it is the one candidate. The factor 2 is a margin over the ball's own
+slack: it covers any rounding difference between the query's distance
+and the ball query's inclusion test, so the shortcut never drops a
+vector the ball would hold. Only the remaining near-ties run the ball
+query, which builds one Python list a query. Either way the candidates
+are re-scored with the scan's numpy arithmetic,
+``((v - q) * (v - q)).sum``, and the lowest id among the exact minima
+wins. The re-score count of a query is the size of its ball: 1 on the
+shortcut, and on the near-tie path every vector in the ball, ties and
+duplicates included.
 """
 
 from __future__ import annotations
@@ -87,7 +98,12 @@ class KdTree:
         """Exact nearest neighbor of each row of an (M, d) query matrix.
 
         Returns the stored ids, the Euclidean distances and the number of
-        vectors re-scored for each query, as arrays of length M.
+        vectors re-scored for each query, as arrays of length M. One k=2
+        tree query proposes every match. A query whose second tree
+        distance is within twice the ball's slack of its first also runs
+        the ball query, and re-scores every vector in that ball; any other
+        query re-scores its proposed vector alone, with count 1, which is
+        the size its ball would have had.
         """
         queries = np.ascontiguousarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.dimension:
@@ -97,12 +113,23 @@ class KdTree:
             )
         if len(queries) == 0:
             return np.empty(0, np.intp), np.empty(0), np.empty(0, np.intp)
-        proposed, _ = self._tree.query(queries, k=1)
+        tree_d, tree_i = self._tree.query(queries, k=2)
+        proposed = tree_d[:, 0]
+        # The ball of radius proposed * (1 + slack) holds the proposed vector
+        # alone when the second tree distance is beyond proposed * (1 + 2 *
+        # slack). The factor 2 is a margin for any rounding difference between
+        # the k=2 query's distances and the ball query's own inclusion test.
+        # On a store of one vector the second distance is inf, so the missing
+        # neighbour's index (N) is never used.
+        near = np.flatnonzero(tree_d[:, 1] <= proposed * (1.0 + 2.0 * _BALL_SLACK))
+        balls = self._tree.query_ball_point(queries[near], proposed[near] * (1.0 + _BALL_SLACK))
         # Each ball holds at least the proposed vector, so no group is empty.
-        balls = self._tree.query_ball_point(queries, proposed * (1.0 + _BALL_SLACK))
-        counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+        counts = np.ones(len(queries), np.intp)
+        counts[near] = [len(ball) for ball in balls]
         starts = np.cumsum(counts) - counts
-        cand = np.concatenate(balls)
+        cand = np.repeat(tree_i[:, 0], counts)
+        for start, ball in zip(starts[near], balls):
+            cand[start : start + len(ball)] = ball
         diff = self._tree.data[cand] - np.repeat(queries, counts, axis=0)
         sq = (diff * diff).sum(axis=1)
         best_sq = np.minimum.reduceat(sq, starts)

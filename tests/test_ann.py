@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from conftest import naive_nearest
-from tractodist.ann import LEAF_SIZE, KdTree
+from tractodist.ann import _BALL_SLACK, LEAF_SIZE, KdTree
 from tractodist.errors import DimensionMismatch, EmptyInput
 
 
@@ -22,6 +23,35 @@ def reference_shape(pts: np.ndarray, level=1):
     ln, ld = reference_shape(pts[order[:mid]], level + 1)
     rn, rd = reference_shape(pts[order[mid:]], level + 1)
     return 1 + ln + rn, max(ld, rd)
+
+
+def reference_nearest_many(pts: np.ndarray, queries: np.ndarray):
+    """The ball-only search: (ids, distances, re-score counts).
+
+    A k=1 proposal, then a ball of radius d * (1 + slack) around every
+    query, every vector in it re-scored with the scan's arithmetic, ties
+    to the lowest id.
+    """
+    tree = cKDTree(pts, leafsize=LEAF_SIZE)
+    proposed, _ = tree.query(queries, k=1)
+    balls = tree.query_ball_point(queries, proposed * (1.0 + _BALL_SLACK))
+    counts = np.array([len(ball) for ball in balls], dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    cand = np.concatenate(balls)
+    diff = pts[cand] - np.repeat(queries, counts, axis=0)
+    sq = (diff * diff).sum(axis=1)
+    best_sq = np.minimum.reduceat(sq, starts)
+    at_min = sq == np.repeat(best_sq, counts)
+    ids = np.minimum.reduceat(np.where(at_min, cand, len(pts)), starts)
+    return ids, np.sqrt(best_sq), counts
+
+
+def assert_many_equals_reference(pts, queries):
+    got = KdTree(pts).nearest_many(queries)
+    for g, r in zip(got, reference_nearest_many(pts, queries)):
+        assert g.dtype == r.dtype
+        assert np.array_equal(g, r)
+    return got
 
 
 def test_structure_matches_reference_builder():
@@ -190,3 +220,92 @@ def test_nearest_many_dimension_errors():
     for bad in (np.zeros(3), np.zeros((2, 2)), np.zeros((2, 4)), np.zeros((1, 3, 1))):
         with pytest.raises(DimensionMismatch):
             tree.nearest_many(bad)
+
+
+def test_nearest_many_equals_ball_reference_on_random_40d_vectors():
+    rng = np.random.default_rng(61)
+    pts = rng.normal(size=(5000, 40))
+    assert_many_equals_reference(pts, rng.normal(size=(300, 40)))
+
+
+def test_nearest_many_equals_ball_reference_on_grid_ties():
+    rng = np.random.default_rng(62)
+    pts = rng.integers(0, 4, size=(2000, 4)).astype(float)
+    queries = rng.integers(0, 7, size=(400, 4)) / 2.0
+    _, _, counts = assert_many_equals_reference(pts, queries)
+    assert counts.max() > 1  # ties reached the ball path
+
+
+def test_nearest_many_equals_ball_reference_on_identical_vectors():
+    pts = np.full((1000, 5), 0.25)
+    queries = np.vstack([np.full((3, 5), 0.25), np.full((2, 5), 1.25)])
+    _, _, counts = assert_many_equals_reference(pts, queries)
+    assert counts.tolist() == [1000] * 5
+
+
+def test_nearest_many_equals_ball_reference_at_distance_zero():
+    rng = np.random.default_rng(63)
+    pts = rng.normal(size=(400, 6))
+    ids, dists, _ = assert_many_equals_reference(pts, pts[[0, 7, 123, 399, 7]])
+    assert ids.tolist() == [0, 7, 123, 399, 7]
+    assert not dists.any()
+
+
+class BallSpy:
+    """A cKDTree stand-in that records how many rows reach the ball query."""
+
+    def __init__(self, tree):
+        self.tree, self.ball_rows = tree, 0
+
+    def __getattr__(self, name):
+        return getattr(self.tree, name)
+
+    def query_ball_point(self, x, r):
+        self.ball_rows += len(x)
+        return self.tree.query_ball_point(x, r)
+
+
+@pytest.mark.parametrize("rel, count, ball_rows", [
+    (0.5e-9, 2, 1),  # inside the ball: both re-scored
+    (1.5e-9, 1, 1),  # inside twice the slack, outside the ball
+    (2.5e-9, 1, 0),  # beyond twice the slack: the proposed vector alone
+])
+def test_second_neighbour_near_the_slack(rel, count, ball_rows):
+    # The farther vector has the lower id, so only the exact re-score
+    # picks the nearer one.
+    pts = np.array([[-(1.0 + rel), 0.0], [1.0, 0.0], [0.0, 5.0]])
+    tree = KdTree(pts)
+    tree._tree = spy = BallSpy(tree._tree)
+    ids, dists, counts = tree.nearest_many(np.zeros((1, 2)))
+    assert (ids.tolist(), dists.tolist(), counts.tolist()) == ([1], [1.0], [count])
+    assert spy.ball_rows == ball_rows
+    assert_many_equals_reference(pts, np.zeros((1, 2)))
+
+
+def test_single_vector_store_many_queries():
+    pts = np.array([[1.0, 2.0, 3.0]])
+    queries = np.array([[4.0, 2.0, 3.0], [1.0, 2.0, 3.0], [-1.0, 0.0, 9.0], [1.0, 2.0, 3.5]])
+    ids, dists, counts = assert_many_equals_reference(pts, queries)
+    assert ids.tolist() == [0, 0, 0, 0]
+    assert counts.tolist() == [1, 1, 1, 1]
+    assert dists.tolist() == [naive_nearest(pts, q)[1] for q in queries]
+
+
+def test_mixed_batch_equals_one_row_calls_in_order():
+    # Duplicates at ids 2 and 5 and a pair 1 + 0.5e-9 apart make near-ties;
+    # the other rows are lone.
+    pts = np.array([[10.0, 0.0], [0.0, 10.0], [3.0, 3.0], [-1.0 - 0.5e-9, -20.0],
+                    [1.0, -20.0], [3.0, 3.0], [-7.0, 4.0]])
+    queries = np.array([[9.0, 1.0], [3.0, 3.0], [0.0, 9.0], [0.0, -20.0],
+                        [-7.0, 3.0], [3.1, 3.0], [10.0, 0.5]])
+    tree = KdTree(pts)
+    ids, dists, counts = assert_many_equals_reference(pts, queries)
+    assert counts.tolist() == [1, 2, 1, 2, 1, 2, 1]
+    rows = [tree.nearest_with_stats(q) for q in queries]
+    assert rows == list(zip(ids.tolist(), dists.tolist(), counts.tolist()))
+
+
+def test_nearest_many_nan_query_raises():
+    tree = KdTree(np.random.default_rng(64).normal(size=(50, 3)))
+    with pytest.raises(ValueError):
+        tree.nearest_many(np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]))
